@@ -92,6 +92,8 @@ def _load_input(args) -> str:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{args.file}: not valid UTF-8 (byte {exc.start}: {exc.reason})")
     if text.endswith("\n"):
         text = text[:-1]
     if text.endswith("\r"):

@@ -147,24 +147,35 @@ def alter(plan: DelPlan, witness: FootWitness) -> DelPlan:
     """
     if plan.base_length != witness.target_length:
         raise ValueError("plan and witness target different lengths")
+    if not 0 <= witness.index < plan.base_length:
+        raise ValueError("witness index out of range")
     if plan.deletions == 0:
         raise ValueError("plan must delete at least one element")
     return DelPlan(_alter(plan.actions, witness.index))
 
 
 def _alter(actions: tuple[bool, ...], foot: int) -> tuple[bool, ...]:
-    if actions[0] == KEEP:
-        if foot == 0:
-            rest = delete_any(DelPlan(actions[1:]))
-            return (DEL, KEEP) + rest.actions
-        return (KEEP,) + _alter(actions[1:], foot - 1)
-    if len(actions) == 1:
-        return (DEL,)
-    if foot == 0:
+    # The walk of :func:`alter` in closed form, with no recursion: it
+    # copies the plan up to the foot or up to the plan's last deletion,
+    # whichever comes first, and rewrites the rest in one go.
+    if actions[foot] == DEL:
         return actions
-    if sum(actions[1:]) == 0:
-        return (KEEP,) + tuple(j == foot - 1 for j in range(len(actions) - 1))
-    return (DEL,) + _alter(actions[1:], foot - 1)
+    n = len(actions)
+    out = list(actions[:foot])
+    after = sum(actions[foot + 1 :])
+    if after:
+        # the foot takes one of the later deletions, its neighbour is
+        # kept and the others go leftmost
+        out += (DEL, KEEP)
+        out += (DEL,) * (after - 1)
+        out += (KEEP,) * (n - foot - 1 - after)
+        return tuple(out)
+    # every deletion lies before the foot: the last one moves onto it
+    last = foot - 1
+    while out[last] == KEEP:
+        last -= 1
+    out[last:] = (KEEP,) * (foot - last) + (DEL,) + (KEEP,) * (n - foot - 1)
+    return tuple(out)
 
 
 def _require_witness(xs, witness: FootWitness) -> None:

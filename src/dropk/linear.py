@@ -5,8 +5,19 @@ bottom to top.  Each incoming element pops strictly smaller stack tops
 while deletions remain (every pop spends one deletion), then is pushed.
 When the deletion budget hits zero the rest of the input is kept
 verbatim; when input runs out first, the remaining deletions fall on the
-stack top.  Every step either consumes an input element or a deletion,
-so a full run takes at most n + k + 1 steps.
+stack top.
+
+Every step of the scan either pushes an element or pops one, plus one
+terminal step, so a run takes pushes + pops + 1 <= n + k + 1 steps.  The
+scan keeps no counter: where it stops tells both numbers, since pushes
+are the elements consumed and pops the deletions spent.
+
+``checked=True`` makes one O(n) pass over the kept prefix after the scan
+and raises ``ValueError`` unless it is weakly descending.  An element is
+pushed only onto an empty stack or a top at least as large, so that one
+pass checks the invariant every step relied on.  (The CLI reads
+``--file`` input as UTF-8; a file that is not valid UTF-8 is a usage
+error, exit code 2.)
 """
 
 from __future__ import annotations
@@ -27,36 +38,45 @@ def _assemble(like: S, kept: list, tail: S) -> S:
     return list(kept) + tail
 
 
-def _require_nondecreasing(acc) -> None:
-    for j in range(len(acc) - 1):
-        if acc[j + 1] < acc[j]:
-            raise ValueError("accumulator must be weakly nondecreasing front to back")
+def _require_descending(stack: list, message: str) -> None:
+    for j in range(len(stack) - 1):
+        if stack[j] < stack[j + 1]:
+            raise ValueError(message)
 
 
-def _scan(k: int, stack: list, rest: S, checked: bool) -> tuple[S, int]:
-    # stack holds the traversed prefix oldest-first (weakly descending);
-    # one loop iteration mirrors one step of the recursion being counted.
-    steps = 0
-    i, n = 0, len(rest)
-    push = stack.append
-    pop = stack.pop
-    while True:
-        steps += 1
-        if checked:
-            for j in range(len(stack) - 1):
-                if stack[j] < stack[j + 1]:
-                    raise ValueError("scan invariant broken: prefix not weakly descending")
-        if k == 0:
-            return _assemble(rest, stack, rest[i:]), steps
-        if i == n:
-            return _assemble(rest, stack[: len(stack) - k], rest[n:]), steps
-        y = rest[i]
-        if stack and stack[-1] < y:
+def _scan(k: int, stack: list, xs: S) -> tuple[list, int, int]:
+    """Run the scan over ``xs`` from ``stack`` (the traversed prefix,
+    oldest first) with ``k`` deletions.
+
+    Returns the stack, the number of elements of ``xs`` consumed and the
+    deletions left.  Deletions are left only when ``xs`` ran out, and
+    they fall on the stack top; otherwise ``xs[consumed:]`` is kept.
+    """
+    if not k:
+        return stack, 0, 0
+    push, pop = stack.append, stack.pop
+    top = stack[-1] if stack else None
+    for i, y in enumerate(xs):
+        if stack and top < y:
             pop()
             k -= 1
-        else:
-            push(y)
-            i += 1
+            while k and stack and stack[-1] < y:
+                pop()
+                k -= 1
+            if not k:
+                return stack, i, 0
+        push(y)
+        top = y
+    return stack, len(xs), k
+
+
+def _solve(k: int, stack: list, xs: S, checked: bool) -> S:
+    stack, consumed, k_left = _scan(k, stack, xs)
+    if k_left:
+        del stack[len(stack) - k_left :]
+    if checked:
+        _require_descending(stack, "scan invariant broken: prefix not weakly descending")
+    return _assemble(xs, stack, xs[consumed:])
 
 
 def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
@@ -65,37 +85,42 @@ def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
 
     ``acc`` is stored newest-first, so read front to back it must be
     weakly nondecreasing (its reverse, the logical prefix, is weakly
-    descending).  That ordering is only validated with ``checked=True``;
-    ``k`` is always validated against the combined length.  ``acc`` and
-    ``rest`` should be the same kind of sequence.
+    descending).  That ordering is only validated with ``checked=True``,
+    in O(len(acc)); ``k`` is always validated against the combined
+    length, and ``acc`` and ``rest`` must be the same type of sequence.
     """
     if k < 0:
         raise ValueError("deletion count must be >= 0")
     if k > len(acc) + len(rest):
         raise ValueError("cannot drop more elements than present")
+    if type(acc) is not type(rest):
+        raise ValueError("acc and rest must be the same type of sequence")
+    stack = list(reversed(acc))
     if checked:
-        _require_nondecreasing(acc)
-    stack = [acc[j] for j in range(len(acc) - 1, -1, -1)]
-    result, _ = _scan(k, stack, rest, checked)
-    return result
+        _require_descending(stack, "accumulator must be weakly nondecreasing front to back")
+    return _solve(k, stack, rest, checked)
 
 
 def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
-    """Largest remainder after ``k`` deletions, in one O(n + k) scan."""
+    """Largest remainder after ``k`` deletions, in one O(n + k) scan.
+
+    ``checked=True`` adds one O(n) pass that checks the kept prefix is
+    weakly descending.
+    """
     check_deletion_count(k, xs)
-    result, _ = _scan(k, [], xs, checked)
-    return result
+    return _solve(k, [], xs, checked)
 
 
 def count_steps(k: int, xs: S) -> int:
     """Number of scan steps :func:`solve_linear` takes on this input.
 
-    Bounded by ``len(xs) + k + 1``: each step consumes an element or a
-    deletion, plus one terminal step.
+    That is pushes + pops + 1, read from where the scan stops: each
+    consumed element was pushed once, each spent deletion popped once,
+    and one terminal step ends the scan.  Bounded by ``len(xs) + k + 1``.
     """
     check_deletion_count(k, xs)
-    _, steps = _scan(k, [], xs, False)
-    return steps
+    _, consumed, k_left = _scan(k, [], xs)
+    return consumed + (k - k_left) + 1
 
 
 @dataclass(frozen=True)

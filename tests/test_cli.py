@@ -77,6 +77,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--k", "1", "--file", "/no/such/file")
         assert code == 2
 
+    def test_file_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(b"\xff\xfe12")
+        for command in ("solve", "trace"):
+            code, out, err = run(capsys, command, "--k", "1", "--file", str(source))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "not valid UTF-8" in err
+
     def test_negative_k_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--k", "-1", "abc"])

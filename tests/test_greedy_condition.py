@@ -27,6 +27,23 @@ from dropk.greedy_condition import (
 plan = DelPlan.from_string
 
 
+def alter_recursive(actions, foot):
+    """The clause-by-clause recursive form of ``alter``'s walk, kept as
+    an oracle for the library's non-recursive one."""
+    if actions[0] == KEEP:
+        if foot == 0:
+            rest = delete_any(DelPlan(actions[1:]))
+            return (DEL, KEEP) + rest.actions
+        return (KEEP,) + alter_recursive(actions[1:], foot - 1)
+    if len(actions) == 1:
+        return (DEL,)
+    if foot == 0:
+        return actions
+    if sum(actions[1:]) == 0:
+        return (KEEP,) + tuple(j == foot - 1 for j in range(len(actions) - 1))
+    return (DEL,) + alter_recursive(actions[1:], foot - 1)
+
+
 class TestDelPlan:
     def test_roundtrip(self):
         p = plan("kdkdk")
@@ -167,9 +184,32 @@ class TestAlter:
                     assert out.deletions == d
                     assert out.base_length == len(xs)
 
+    def test_matches_recursive_form(self):
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                for p in enumerate_plans(d, n):
+                    for foot in range(n):
+                        expected = alter_recursive(p.actions, foot)
+                        assert alter(p, FootWitness(foot, n)).actions == expected
+
+    def test_long_plans(self):
+        # the recursive form hits the recursion limit near 3000 positions
+        n = 5000
+        # every deletion before the foot: the last one moves onto it
+        early = DelPlan.deleting(n, [0, 10])
+        assert alter(early, FootWitness(n - 1, n)) == DelPlan.deleting(n, [0, n - 1])
+        # a kept foot takes a later deletion, which moves leftmost
+        late = DelPlan.deleting(n, [n - 2, n - 1])
+        out = alter(late, FootWitness(100, n))
+        assert out == DelPlan.deleting(n, [100, 102])
+
     def test_guards(self):
         with pytest.raises(ValueError, match="different lengths"):
             alter(plan("dk"), FootWitness(0, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            alter(plan("dk"), FootWitness(2, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            alter(plan("dk"), FootWitness(-1, 2))
         with pytest.raises(ValueError, match="at least one"):
             alter(plan("kk"), FootWitness(0, 2))
 

@@ -33,6 +33,13 @@ class TestGsolve:
         with pytest.raises(ValueError, match=">= 0"):
             gsolve(-1, "", "abc")
 
+    def test_mixed_sequence_kinds_rejected(self):
+        with pytest.raises(ValueError, match="same type"):
+            gsolve(1, "ab", ("c",))
+        with pytest.raises(ValueError, match="same type"):
+            gsolve(0, ["b"], ("c",))
+        assert gsolve(1, ("a", "b"), ("c",)) == ("b", "c")
+
     def test_checked_mode_validates_accumulator(self):
         # 'ba' reads decreasing front to back, so checked mode rejects it
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -85,6 +92,25 @@ class TestSolveLinear:
         assert solve_linear(k, xs) == solve_greedy(k, xs)
 
 
+# ASCII, Latin-1, BMP and astral characters, drawn often enough to repeat
+MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600"
+
+
+@given(
+    st.text(alphabet=st.one_of(st.sampled_from(MIXED_CHARS), st.characters()), max_size=40),
+    st.sampled_from((str, tuple, list)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_differential_across_sequence_kinds(text, kind, data):
+    xs = text if kind is str else kind(text)
+    k = data.draw(st.integers(0, len(xs)))
+    got = solve_linear(k, xs)
+    assert type(got) is kind
+    assert got == solve_greedy(k, xs)
+    assert count_steps(k, xs) == len(list(scan_events(k, xs)))
+
+
 class TestSplittingProperty:
     def test_split_point_behaviour(self):
         # while the next element does not rise above the descending
@@ -133,9 +159,11 @@ class TestScanEvents:
         assert events[0].suffix == "abc"
 
     def test_event_count_matches_step_count(self):
-        for xs in all_sequences("ab", 6):
-            for k in range(len(xs) + 1):
-                assert len(list(scan_events(k, xs))) == count_steps(k, xs)
+        for alphabet in ("ab", "abc"):
+            for text in all_sequences(alphabet, 6):
+                for xs in (text, tuple(text), list(text)):
+                    for k in range(len(xs) + 1):
+                        assert len(list(scan_events(k, xs))) == count_steps(k, xs)
 
     def test_prefix_stays_weakly_descending(self):
         for xs in all_sequences("abc", 6):
