@@ -6,14 +6,14 @@ enumerates everything, :func:`solve_greedy` deletes the hill foot k times
 over, and :func:`solve_linear` does one monotonic-stack scan in O(n + k)
 steps.  The :mod:`dropk.greedy_condition` module carries an executable
 form of the exchange argument that justifies the greedy step, playable
-as an exhaustive game at small scale.
+as an exhaustive game at small scale, and :mod:`dropk.verify` holds the
+other exhaustive sweeps.
 """
 
 from .core import drops, lex_le, max_lex
 from .greedy import (
     better_global_counterexample,
     gstep,
-    gstep_recursive,
     hill_foot,
     solve_greedy,
 )
@@ -29,16 +29,14 @@ from .greedy_condition import (
     check_mono,
     check_mono_aux,
     check_unfoot,
-    delete_any,
     delfoot,
     enumerate_plans,
     foot_witness,
     game_outcome,
-    is_del,
     verify_greedy_condition,
 )
 from .linear import ScanEvent, count_steps, gsolve, scan_events, solve_linear
-from .oracle import apply_k, solve_naive, solve_naive_all_k, step
+from .oracle import solve_naive, solve_naive_all_k
 
 __version__ = "0.1.0"
 
@@ -51,14 +49,12 @@ __all__ = [
     "ScanEvent",
     "VerifyReport",
     "alter",
-    "apply_k",
     "apply_plan",
     "better_global_counterexample",
     "check_mono",
     "check_mono_aux",
     "check_unfoot",
     "count_steps",
-    "delete_any",
     "delfoot",
     "drops",
     "enumerate_plans",
@@ -66,9 +62,7 @@ __all__ = [
     "game_outcome",
     "gsolve",
     "gstep",
-    "gstep_recursive",
     "hill_foot",
-    "is_del",
     "lex_le",
     "max_lex",
     "scan_events",
@@ -76,6 +70,5 @@ __all__ = [
     "solve_linear",
     "solve_naive",
     "solve_naive_all_k",
-    "step",
     "verify_greedy_condition",
 ]

@@ -11,10 +11,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
-from . import greedy, greedy_condition, linear, oracle
+from . import greedy, greedy_condition, linear, oracle, verify
 from .core import drops, max_lex
 
 # The exhaustive engine enumerates n*(n-1)*...*(n-k+1) candidates; these
@@ -113,47 +112,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _equivalence_sweep(max_len: int, alphabet: str) -> tuple[int, int, str | None]:
-    """Compare all three engines on every sequence up to max_len, every k."""
-    cases = 0
-    mismatches = 0
-    first: str | None = None
-    for n in range(max_len + 1):
-        for raw in product(sorted(alphabet), repeat=n):
-            xs = "".join(raw)
-            expected = oracle.solve_naive_all_k(xs, dedupe=True)
-            for k in range(n + 1):
-                cases += 1
-                got_greedy = greedy.solve_greedy(k, xs)
-                got_linear = linear.solve_linear(k, xs)
-                if not (expected[k] == got_greedy == got_linear):
-                    mismatches += 1
-                    if first is None:
-                        first = (
-                            f"xs={xs!r} k={k}: naive={expected[k]!r} "
-                            f"greedy={got_greedy!r} linear={got_linear!r}"
-                        )
-    return cases, mismatches, first
-
-
-def _mono_aux_sweep(max_len: int, alphabet: str) -> tuple[int, int]:
-    """Exhaust the prefix-dominance helper over all tails up to max_len."""
-    tokens = sorted(alphabet)
-    cases = 0
-    violations = 0
-    for n in range(1, max_len + 1):
-        for raw in product(tokens, repeat=n):
-            tail = "".join(raw)
-            witness = greedy_condition.foot_witness(tail)
-            for x in tokens:
-                if x < tail[0]:
-                    continue
-                cases += 1
-                if not greedy_condition.check_mono_aux(x, tail, witness):
-                    violations += 1
-    return cases, violations
-
-
 def cmd_verify(args) -> int:
     alphabet = args.alphabet
     if not alphabet or len(set(alphabet)) != len(alphabet):
@@ -165,12 +123,12 @@ def cmd_verify(args) -> int:
 
     bad = 0
 
-    cases, mismatches, first = _equivalence_sweep(args.max_len, alphabet)
+    equivalence = verify.equivalence_sweep(args.max_len, alphabet)
     print(f"engine equivalence up to length {args.max_len}: "
-          f"{cases} cases, {mismatches} mismatches")
-    if first is not None:
-        print(f"  first mismatch: {first}")
-    bad += mismatches
+          f"{equivalence.cases} cases, {equivalence.violations} mismatches")
+    if equivalence.first_counterexample is not None:
+        print(f"  first mismatch: {equivalence.first_counterexample}")
+    bad += equivalence.violations
 
     game_len = min(args.max_len, GAME_MAX_LEN)
     report = greedy_condition.verify_greedy_condition(game_len, alphabet)
@@ -190,10 +148,12 @@ def cmd_verify(args) -> int:
         bad += 1
 
     aux_len = min(args.max_len, AUX_MAX_LEN)
-    aux_cases, aux_violations = _mono_aux_sweep(aux_len, alphabet)
+    aux = verify.mono_aux_sweep(aux_len, alphabet)
     print(f"prefix-dominance sweep up to tail length {aux_len}: "
-          f"{aux_cases} cases, {aux_violations} violations")
-    bad += aux_violations
+          f"{aux.cases} cases, {aux.violations} violations")
+    if aux.first_counterexample is not None:
+        print(f"  first counterexample: {aux.first_counterexample}")
+    bad += aux.violations
 
     print("result: " + ("all checks passed" if bad == 0 else f"{bad} problems found"))
     return 0 if bad == 0 else 1
@@ -246,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(solve)
     solve.set_defaults(func=cmd_solve)
 
-    verify = sub.add_parser(
+    verify_cmd = sub.add_parser(
         "verify",
         help="exhaustively check the engines and the greedy exchange argument",
         description="Runs four sweeps: engine equivalence for every sequence over "
@@ -254,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
                     f"length {GAME_MAX_LEN}), the fixed better-global counterexample, "
                     f"and the prefix-dominance helper (capped at length {AUX_MAX_LEN}).",
     )
-    verify.add_argument("--max-len", type=_nonneg_int, required=True,
-                        help=f"sequence length bound, at most {EQUIV_MAX_LEN}")
-    verify.add_argument("--alphabet", required=True,
-                        help="distinct characters the sequences are built from")
-    verify.set_defaults(func=cmd_verify)
+    verify_cmd.add_argument("--max-len", type=_nonneg_int, required=True,
+                            help=f"sequence length bound, at most {EQUIV_MAX_LEN}")
+    verify_cmd.add_argument("--alphabet", required=True,
+                            help="distinct characters the sequences are built from")
+    verify_cmd.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="time the engines on random digit inputs, CSV output")
     bench.add_argument("--sizes", type=_size_list, required=True,

@@ -8,7 +8,8 @@ strings order the way equal-width numbers do.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from itertools import product
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 S = TypeVar("S", str, tuple, list)
 
@@ -59,6 +60,30 @@ def drops(xs: S) -> list[S]:
     if len(xs) == 0:
         raise ValueError("drops undefined on empty sequence")
     return [xs[:i] + xs[i + 1 :] for i in range(len(xs))]
+
+
+def sequences(alphabet, max_len: int, min_len: int = 0) -> Iterator:
+    """Every sequence over the distinct elements of ``alphabet`` with
+    ``min_len <= length <= max_len``, shorter first, in sorted order
+    within a length.
+
+    A string alphabet yields strings, any other yields tuples.
+    """
+    tokens = sorted(set(alphabet))
+    as_str = isinstance(alphabet, str)
+    for n in range(min_len, max_len + 1):
+        for raw in product(tokens, repeat=n):
+            yield "".join(raw) if as_str else raw
+
+
+def rebuild(like: S, items: Iterable) -> S:
+    """``items`` as a sequence of the same type as ``like``: a str, a
+    tuple or a list."""
+    if isinstance(like, str):
+        return "".join(items)
+    if isinstance(like, tuple):
+        return tuple(items)
+    return list(items)
 
 
 def check_deletion_count(k: int, xs: Sequence) -> None:

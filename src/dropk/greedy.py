@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TypeVar
 
 from .core import check_deletion_count, drops, lex_le, max_lex
-from .oracle import apply_k
 
 S = TypeVar("S", str, tuple, list)
 
@@ -43,24 +42,12 @@ def gstep(xs: S) -> S:
     return xs[:i] + xs[i + 1 :]
 
 
-def gstep_recursive(xs: S) -> S:
-    """Clause-for-clause recursive form of :func:`gstep`, kept as a
-    readable reference: keep the head unless it is strictly smaller than
-    its neighbour, in which case drop it and stop.
-    """
-    if len(xs) == 0:
-        raise ValueError("hill foot undefined on empty sequence")
-    if len(xs) == 1:
-        return xs[:0]
-    if xs[0] < xs[1]:
-        return xs[1:]
-    return xs[:1] + gstep_recursive(xs[1:])
-
-
 def solve_greedy(k: int, xs: S) -> S:
     """Delete the hill foot ``k`` times over; O(k*n)."""
     check_deletion_count(k, xs)
-    return apply_k(k, gstep, xs)
+    for _ in range(k):
+        xs = gstep(xs)
+    return xs
 
 
 def better_global_counterexample(xs: S, ys: S) -> S | None:

@@ -12,10 +12,11 @@ length, reporting any violation instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress
+from operator import not_
 from typing import Any, Iterable, Sequence
 
-from .core import lex_le
+from .core import lex_le, rebuild, sequences
 from .greedy import hill_foot
 
 KEEP = False
@@ -97,40 +98,12 @@ def apply_plan(xs, plan: DelPlan):
     """Carry out the instructions: drop the DEL positions, keep the rest."""
     if plan.base_length != len(xs):
         raise ValueError("plan targets a different length")
-    out = xs[:0]
-    for i, deleted in enumerate(plan.actions):
-        if not deleted:
-            out = out + xs[i : i + 1]
-    return out
-
-
-def is_del(i: int, plan: DelPlan) -> bool:
-    """Whether the plan deletes position ``i``."""
-    if not 0 <= i < plan.base_length:
-        raise ValueError("position out of range")
-    return plan.actions[i]
+    return rebuild(xs, compress(xs, map(not_, plan.actions)))
 
 
 def delfoot(witness: FootWitness) -> DelPlan:
     """The single-deletion plan that removes exactly the witnessed foot."""
     return DelPlan.deleting(witness.target_length, [witness.index])
-
-
-def delete_any(plan: DelPlan) -> DelPlan:
-    """One deletion fewer over a one-shorter target.
-
-    Any placement satisfies the callers, so the deletions land on the
-    leftmost positions.
-    """
-    if plan.deletions == 0:
-        raise ValueError("plan must delete at least one element")
-    return DelPlan(_front_dels(plan.deletions - 1, plan.base_length - 1))
-
-
-def _front_dels(k: int, n: int) -> tuple[bool, ...]:
-    if k > n:
-        raise ValueError("more deletions than positions")
-    return tuple(i < k for i in range(n))
 
 
 def alter(plan: DelPlan, witness: FootWitness) -> DelPlan:
@@ -193,7 +166,7 @@ def check_mono(xs, plan: DelPlan, witness: FootWitness) -> bool:
 def check_unfoot(xs, plan: DelPlan, witness: FootWitness) -> bool:
     """Does the rewritten plan delete the hill foot?"""
     _require_witness(xs, witness)
-    return is_del(witness.index, alter(plan, witness))
+    return alter(plan, witness).actions[witness.index]
 
 
 def check_mono_aux(x, tail, witness: FootWitness) -> bool:
@@ -204,15 +177,7 @@ def check_mono_aux(x, tail, witness: FootWitness) -> bool:
     if x < tail[0]:
         raise ValueError("x must be >= the head of tail")
     _require_witness(tail, witness)
-    return lex_le(tail, _cons(x, apply_plan(tail, delfoot(witness))))
-
-
-def _cons(x, xs):
-    if isinstance(xs, str):
-        return x + xs
-    if isinstance(xs, tuple):
-        return (x,) + xs
-    return [x] + xs
+    return lex_le(tail, rebuild(tail, (x, *apply_plan(tail, delfoot(witness)))))
 
 
 def game_outcome(xs, plan: DelPlan, witness: FootWitness) -> GameOutcome:
@@ -222,7 +187,7 @@ def game_outcome(xs, plan: DelPlan, witness: FootWitness) -> GameOutcome:
     adversary = apply_plan(xs, plan)
     ours = apply_plan(xs, altered)
     return GameOutcome(
-        adversary, ours, lex_le(adversary, ours), is_del(witness.index, altered)
+        adversary, ours, lex_le(adversary, ours), altered.actions[witness.index]
     )
 
 
@@ -237,7 +202,10 @@ def enumerate_plans(k: int, n: int) -> list[DelPlan]:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Tally of an exhaustive exchange-game sweep."""
+    """Tally of an exhaustive sweep: the cases checked, the violations
+    found and the first counterexample.  ``maxima_checks`` counts the
+    exchange game's extra comparisons of best plans; other sweeps have
+    none."""
 
     max_len: int
     alphabet: tuple
@@ -269,15 +237,13 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     tokens = tuple(sorted(set(alphabet)))
     if not tokens:
         raise ValueError("alphabet must be nonempty")
-    as_str = isinstance(alphabet, str)
 
     cases = maxima_checks = violations = 0
     first: str | None = None
 
     for n in range(1, max_len + 1):
         plans_by_count = [enumerate_plans(d, n) for d in range(n + 1)]
-        for raw in product(tokens, repeat=n):
-            xs = "".join(raw) if as_str else raw
+        for xs in sequences(alphabet, n, n):
             witness = foot_witness(xs)
             foot = witness.index
             for d in range(1, n + 1):

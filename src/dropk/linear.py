@@ -25,17 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, TypeVar
 
-from .core import check_deletion_count
+from .core import check_deletion_count, rebuild
 
 S = TypeVar("S", str, tuple, list)
-
-
-def _assemble(like: S, kept: list, tail: S) -> S:
-    if isinstance(like, str):
-        return "".join(kept) + tail
-    if isinstance(like, tuple):
-        return tuple(kept) + tail
-    return list(kept) + tail
 
 
 def _require_descending(stack: list, message: str) -> None:
@@ -76,7 +68,7 @@ def _solve(k: int, stack: list, xs: S, checked: bool) -> S:
         del stack[len(stack) - k_left :]
     if checked:
         _require_descending(stack, "scan invariant broken: prefix not weakly descending")
-    return _assemble(xs, stack, xs[consumed:])
+    return rebuild(xs, stack) + xs[consumed:]
 
 
 def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
@@ -151,7 +143,7 @@ def scan_events(k: int, xs: S) -> Iterator[ScanEvent]:
     stack: list = []
     i, n = 0, len(xs)
     while True:
-        prefix = _assemble(xs, stack, xs[:0])
+        prefix = rebuild(xs, stack)
         suffix = xs[i:]
         if k == 0 or i == n:
             yield ScanEvent("FINISH", None, k, prefix, suffix)

@@ -7,12 +7,11 @@ fast; the other engines are checked against it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .core import check_deletion_count, drops, max_lex
 
 S = TypeVar("S", str, tuple, list)
-A = TypeVar("A")
 
 
 def step(xss: Sequence[S]) -> list[S]:
@@ -25,15 +24,6 @@ def step(xss: Sequence[S]) -> list[S]:
     for c in xss:
         out.extend(drops(c))
     return out
-
-
-def apply_k(k: int, f: Callable[[A], A], x: A) -> A:
-    """``f`` iterated ``k`` times on ``x``; zero times is the identity."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(k):
-        x = f(x)
-    return x
 
 
 def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
@@ -51,7 +41,10 @@ def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
         for _ in range(k):
             frontier = {c[:i] + c[i + 1 :] for c in frontier for i in range(len(c))}
         return max_lex(frontier)
-    return max_lex(apply_k(k, step, [xs]))
+    candidates = [xs]
+    for _ in range(k):
+        candidates = step(candidates)
+    return max_lex(candidates)
 
 
 def solve_naive_all_k(xs: S, *, dedupe: bool = False) -> list[S]:

@@ -3,26 +3,26 @@
 Each test prints one pass/fail line (visible with ``pytest -s`` or in the
 captured output of a failing run) and asserts the criterion exactly; no
 tolerance is loosened here.  The sweeps are exhaustive over a 3-token
-alphabet at the lengths given per criterion, so this module takes a
-couple of minutes rather than seconds.
+alphabet at the lengths given per criterion, and c2 and c5 run the same
+sweeps as ``dropk verify``.  This module takes about 20 s on Python
+3.11 (c2 is most of it).
 """
 
 import random
 import time
-from itertools import product
 
-from dropk.core import drops, lex_le, max_lex
+from dropk.core import drops, lex_le, max_lex, sequences
 from dropk.greedy import better_global_counterexample, gstep, solve_greedy
 from dropk.greedy_condition import (
     DelPlan,
     apply_plan,
-    check_mono_aux,
     delfoot,
     foot_witness,
     verify_greedy_condition,
 )
 from dropk.linear import count_steps, solve_linear
-from dropk.oracle import solve_naive, solve_naive_all_k
+from dropk.oracle import solve_naive
+from dropk.verify import equivalence_sweep, mono_aux_sweep
 
 ALPHABET = "123"
 
@@ -31,12 +31,6 @@ def _verdict(name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"{name} failed{suffix}"
-
-
-def _strings(alphabet, lengths):
-    for n in lengths:
-        for raw in product(alphabet, repeat=n):
-            yield "".join(raw)
 
 
 def test_c1_worked_examples_reproduce_exactly():
@@ -55,19 +49,12 @@ def test_c1_worked_examples_reproduce_exactly():
 
 
 def test_c2_engine_equivalence_three_tokens_up_to_nine():
-    cases = 0
-    mismatches = 0
-    for xs in _strings(ALPHABET, range(10)):
-        expected = solve_naive_all_k(xs, dedupe=True)
-        for k in range(len(xs) + 1):
-            cases += 1
-            if not (expected[k] == solve_greedy(k, xs) == solve_linear(k, xs)):
-                mismatches += 1
+    report = equivalence_sweep(9, ALPHABET)
     planned = sum(3**n * (n + 1) for n in range(10))
     _verdict(
         "2 engine equivalence |xs|<=9",
-        mismatches == 0 and cases == planned,
-        f"{cases} cases, {mismatches} mismatches",
+        report.violations == 0 and report.cases == planned,
+        f"{report.cases} cases, {report.violations} mismatches",
     )
 
 
@@ -102,20 +89,13 @@ def test_c4_better_global_counterexample():
 
 
 def test_c5_prefix_dominance_lemma_up_to_six():
-    cases = 0
-    violations = 0
-    for tail in _strings(ALPHABET, range(1, 7)):
-        witness = foot_witness(tail)
-        for x in ALPHABET:
-            if x < tail[0]:
-                continue
-            cases += 1
-            if not check_mono_aux(x, tail, witness):
-                violations += 1
+    report = mono_aux_sweep(6, ALPHABET)
+    # a tail headed by the i-th smallest of 3 tokens takes 4 - i values of x
+    planned = sum(3 ** (n - 1) * 6 for n in range(1, 7))
     _verdict(
         "5 prefix-dominance lemma |tail|<=6",
-        violations == 0,
-        f"{cases} cases, {violations} violations",
+        report.violations == 0 and report.cases == planned,
+        f"{report.cases} cases, {report.violations} violations",
     )
 
 
@@ -147,7 +127,7 @@ def test_c6_linear_step_bound_and_wall_time():
 def test_c7_foot_plan_matches_greedy_step_up_to_seven():
     cases = 0
     mismatches = 0
-    for xs in _strings(ALPHABET, range(1, 8)):
+    for xs in sequences(ALPHABET, 7, 1):
         cases += 1
         if apply_plan(xs, delfoot(foot_witness(xs))) != gstep(xs):
             mismatches += 1

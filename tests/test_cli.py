@@ -3,6 +3,8 @@ import io
 
 import pytest
 
+import dropk.greedy_condition
+import dropk.verify
 from dropk.cli import main
 
 
@@ -111,6 +113,23 @@ class TestVerify:
     def test_alphabet_must_be_distinct(self, capsys):
         code, _, err = run(capsys, "verify", "--max-len", "2", "--alphabet", "aab")
         assert code == 2 and "distinct" in err
+
+    @pytest.mark.parametrize("module, name, broken, first", [
+        # the linear engine keeps everything: the equivalence sweep disagrees
+        (dropk.verify, "solve_linear", lambda k, xs: xs, "  first mismatch: "),
+        # an identity rewrite never deletes a kept foot: the game loses rounds
+        (dropk.greedy_condition, "alter", lambda plan, witness: plan,
+         "first counterexample: "),
+        # the prefix-dominance helper rejects every tail
+        (dropk.verify, "check_mono_aux", lambda x, tail, witness: False,
+         "  first counterexample: "),
+    ])
+    def test_violation_exits_1(self, capsys, monkeypatch, module, name, broken, first):
+        monkeypatch.setattr(module, name, broken)
+        code, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert code == 1
+        assert any(line.startswith(first) for line in out.splitlines())
+        assert out.splitlines()[-1].endswith(" problems found")
 
 
 class TestBench:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_sequences
-from dropk.core import drops, lex_le, max_lex
+from dropk.core import drops, lex_le, max_lex, sequences
 
 token_tuples = st.lists(st.integers(0, 4), max_size=8).map(tuple)
 
@@ -108,3 +108,15 @@ class TestDrops:
             assert len(out) == len(xs)
             assert all(len(entry) == len(xs) - 1 for entry in out)
             assert out == [xs[:i] + xs[i + 1 :] for i in range(len(xs))]
+
+
+class TestSequences:
+    def test_matches_the_product_enumeration(self):
+        assert list(sequences("ba", 3)) == list(all_sequences("ab", 3))
+        assert list(sequences("abc", 4, 2)) == list(all_sequences("abc", 4, 2))
+
+    def test_repeated_tokens_count_once(self):
+        assert list(sequences("aab", 1, 1)) == ["a", "b"]
+
+    def test_non_string_alphabet_yields_tuples(self):
+        assert list(sequences([2, 1], 2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]

@@ -4,13 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import all_sequences
 from dropk.core import drops, lex_le, max_lex
-from dropk.greedy import (
-    better_global_counterexample,
-    gstep,
-    gstep_recursive,
-    hill_foot,
-    solve_greedy,
-)
+from dropk.greedy import better_global_counterexample, gstep, hill_foot, solve_greedy
 from dropk.oracle import solve_naive_all_k
 
 digit_strings = st.text(alphabet="0123456789", min_size=1, max_size=30)
@@ -61,14 +55,10 @@ class TestGstep:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             gstep("")
-        with pytest.raises(ValueError):
-            gstep_recursive("")
 
     def test_is_best_single_drop_exhaustively(self):
         for xs in all_sequences("abc", 7, 1):
-            best = max_lex(drops(xs))
-            assert gstep(xs) == best
-            assert gstep_recursive(xs) == best
+            assert gstep(xs) == max_lex(drops(xs))
 
     @given(digit_strings)
     def test_is_best_single_drop_random(self, xs):
@@ -95,7 +85,7 @@ class TestGstep:
 
     def test_preserves_sequence_kind(self):
         assert gstep((8, 7, 6, 6, 6, 7, 8)) == (8, 7, 6, 6, 7, 8)
-        assert gstep_recursive([1, 9]) == [9]
+        assert gstep([1, 9]) == [9]
 
 
 class TestSolveGreedy:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -15,16 +16,26 @@ from dropk.greedy_condition import (
     check_mono,
     check_mono_aux,
     check_unfoot,
-    delete_any,
     delfoot,
     enumerate_plans,
     foot_witness,
     game_outcome,
-    is_del,
     verify_greedy_condition,
 )
 
 plan = DelPlan.from_string
+
+
+def delete_any(p):
+    """One deletion fewer over a one-shorter target.
+
+    Any placement satisfies the caller, so the deletions land on the
+    leftmost positions.
+    """
+    if p.deletions == 0:
+        raise ValueError("plan must delete at least one element")
+    n = p.base_length - 1
+    return DelPlan(tuple(i < p.deletions - 1 for i in range(n)))
 
 
 def alter_recursive(actions, foot):
@@ -76,23 +87,23 @@ class TestApplyPlan:
         with pytest.raises(ValueError, match="different length"):
             apply_plan("abc", plan("kk"))
 
+    def test_one_deletion_on_long_tuple_and_list(self):
+        # must stay linear in the length on tuples and lists, where
+        # concatenation copies the whole result each time
+        n, i = 100_000, 50_000
+        p = DelPlan.deleting(n, [i])
+        for xs in (tuple(range(n)), list(range(n))):
+            start = time.perf_counter()
+            got = apply_plan(xs, p)
+            wall = time.perf_counter() - start
+            assert got == xs[:i] + xs[i + 1 :]
+            assert wall < 1.0, f"wall={wall:.3f}s"
+
     def test_result_length(self):
         xs = "abcdef"
         for d in range(len(xs) + 1):
             for p in enumerate_plans(d, len(xs)):
                 assert len(apply_plan(xs, p)) == len(xs) - p.deletions
-
-
-class TestIsDel:
-    def test_examples(self):
-        p = plan("kdkdk")
-        assert is_del(1, p)
-        assert not is_del(0, p)
-        assert is_del(0, plan("d"))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            is_del(5, plan("kdkdk"))
 
 
 class TestFootWitness:

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from conftest import all_sequences, deleted_subsequences, is_subsequence
-from dropk.greedy import gstep
-from dropk.oracle import apply_k, solve_naive, solve_naive_all_k, step
+from dropk.oracle import solve_naive, solve_naive_all_k, step
+
+
+def candidates(k, xs):
+    """The raw candidate multiset after ``k`` rounds of :func:`step`."""
+    out = [xs]
+    for _ in range(k):
+        out = step(out)
+    return out
 
 
 class TestStep:
@@ -24,24 +31,6 @@ class TestStep:
 
     def test_output_size(self):
         assert len(step(["abc", "de", "f"])) == 6
-
-
-class TestApplyK:
-    def test_zero_is_identity(self):
-        assert apply_k(0, gstep, "6782334") == "6782334"
-
-    def test_one_greedy_step(self):
-        assert apply_k(1, gstep, "6782334") == "782334"
-
-    def test_three_greedy_steps(self):
-        assert apply_k(3, gstep, "6782334") == "8334"
-
-    def test_arbitrary_function(self):
-        assert apply_k(5, lambda v: v + 3, 0) == 15
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            apply_k(-1, gstep, "abc")
 
 
 class TestSolveNaive:
@@ -73,7 +62,7 @@ class TestSolveNaive:
         for xs in all_sequences("ab", 5, 1):
             n = len(xs)
             for k in range(n + 1):
-                assert len(apply_k(k, step, [xs])) == math.perm(n, k)
+                assert len(candidates(k, xs)) == math.perm(n, k)
 
     def test_candidates_are_subsequences(self):
         rng = random.Random(7)
@@ -81,7 +70,7 @@ class TestSolveNaive:
             n = rng.randint(1, 7)
             xs = "".join(rng.choices("0123456789", k=n))
             k = rng.randint(0, min(3, n))
-            for candidate in apply_k(k, step, [xs]):
+            for candidate in candidates(k, xs):
                 assert len(candidate) == n - k
                 assert is_subsequence(candidate, xs)
 
@@ -89,7 +78,7 @@ class TestSolveNaive:
         # the raw multiset, deduplicated, covers every shorter subsequence
         for xs in all_sequences("abc", 5, 1):
             for k in range(len(xs) + 1):
-                got = set(apply_k(k, step, [xs]))
+                got = set(candidates(k, xs))
                 assert got == deleted_subsequences(xs, k)
 
     def test_candidate_set_is_complete_dedupe_path(self):
