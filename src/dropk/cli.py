@@ -79,7 +79,7 @@ def _size_list(text: str) -> list[int]:
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", nargs="?", default=None, help="the sequence itself")
     parser.add_argument("--file", default=None, metavar="PATH",
-                        help="read the sequence from a UTF-8 file (trailing newline stripped)")
+                        help="read the sequence from a UTF-8 file (one trailing \\n or \\r\\n stripped)")
 
 
 def _load_input(args) -> str:
@@ -87,16 +87,17 @@ def _load_input(args) -> str:
         raise _UsageError("provide exactly one input: positional text or --file")
     if args.file is None:
         return args.input
+    # bytes, not text mode: text mode would turn every "\r" into "\n"
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_bytes().decode("utf-8")
     except OSError as exc:
         raise _UsageError(str(exc))
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{args.file}: not valid UTF-8 (byte {exc.start}: {exc.reason})")
     if text.endswith("\n"):
         text = text[:-1]
-    if text.endswith("\r"):
-        text = text[:-1]
+        if text.endswith("\r"):
+            text = text[:-1]
     return text
 
 

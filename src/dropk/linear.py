@@ -7,14 +7,23 @@ When the deletion budget hits zero the rest of the input is kept
 verbatim; when input runs out first, the remaining deletions fall on the
 stack top.
 
+A string is scanned as its code points, which order exactly as its
+characters do and compare faster: its Latin-1 bytes when every
+character fits in one, otherwise a UTF-32 view (lone surrogates
+included).  The stack starts with a bottom sentinel that is never below
+anything (``0x110000``, above every code point, or ``_TOP`` for tuple
+and list elements), so the loop never tests for an empty stack.  The
+sentinel is never popped and never part of the result.
+
 Every step of the scan either pushes an element or pops one, plus one
 terminal step, so a run takes pushes + pops + 1 <= n + k + 1 steps.  The
 scan keeps no counter: where it stops tells both numbers, since pushes
-are the elements consumed and pops the deletions spent.
+are the elements consumed and pops the deletions spent.  Code points
+push and pop exactly where characters would, so the count is the same.
 
 ``checked=True`` makes one O(n) pass over the kept prefix after the scan
 and raises ``ValueError`` unless it is weakly descending.  An element is
-pushed only onto an empty stack or a top at least as large, so that one
+pushed only onto the sentinel or a top at least as large, so that one
 pass checks the invariant every step relied on.  (The CLI reads
 ``--file`` input as UTF-8; a file that is not valid UTF-8 is a usage
 error, exit code 2.)
@@ -36,39 +45,73 @@ def _require_descending(stack: list, message: str) -> None:
             raise ValueError(message)
 
 
-def _scan(k: int, stack: list, xs: S) -> tuple[list, int, int]:
-    """Run the scan over ``xs`` from ``stack`` (the traversed prefix,
-    oldest first) with ``k`` deletions.
+class _Top:
+    """Bottom-of-stack sentinel for tuple and list elements: never below
+    anything, and never looks at what it is compared with."""
 
-    Returns the stack, the number of elements of ``xs`` consumed and the
-    deletions left.  Deletions are left only when ``xs`` ran out, and
-    they fall on the stack top; otherwise ``xs[consumed:]`` is kept.
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return False
+
+
+_TOP = _Top()
+# Above every code point, so it is never popped either.
+_TOP_CODE = 0x110000
+
+
+def _scan(k: int, acc: S, rest: S) -> tuple[list, Any, int, int]:
+    """Run the scan over ``rest`` with ``k`` deletions, resuming from the
+    traversed prefix ``acc`` (stored newest-first).
+
+    Returns the stack (the sentinel, then the kept prefix oldest first),
+    the sequence scanned (code points for a string), the number of its
+    elements consumed and the deletions left.  Deletions are left only
+    when the input ran out, and they fall on the stack top; otherwise
+    ``rest[consumed:]`` is kept.
     """
+    if isinstance(rest, str):
+        # most calls have no prefix; skip building map and reversed for it
+        stack = [_TOP_CODE, *map(ord, reversed(acc))] if acc else [_TOP_CODE]
+        try:
+            xs = rest.encode("latin-1")
+        except UnicodeEncodeError:
+            # the native-order codec writes a 4-byte byte-order mark first
+            xs = memoryview(rest.encode("utf-32", "surrogatepass"))[4:].cast("I")
+    else:
+        stack, xs = [_TOP, *reversed(acc)], rest
     if not k:
-        return stack, 0, 0
-    push, pop = stack.append, stack.pop
-    top = stack[-1] if stack else None
-    for i, y in enumerate(xs):
-        if stack and top < y:
-            pop()
+        return stack, xs, 0, 0
+    base, budget = len(stack), k
+    top = stack[-1]
+    for y in xs:
+        if top < y:
+            stack.pop()
             k -= 1
-            while k and stack and stack[-1] < y:
-                pop()
+            while k and stack[-1] < y:
+                stack.pop()
                 k -= 1
             if not k:
-                return stack, i, 0
-        push(y)
+                # pushes are the elements consumed, pops the whole budget
+                return stack, xs, len(stack) - base + budget, 0
+        stack.append(y)
         top = y
-    return stack, len(xs), k
+    return stack, xs, len(xs), k
 
 
-def _solve(k: int, stack: list, xs: S, checked: bool) -> S:
-    stack, consumed, k_left = _scan(k, stack, xs)
+def _solve(k: int, acc: S, rest: S, checked: bool) -> S:
+    stack, xs, consumed, k_left = _scan(k, acc, rest)
     if k_left:
         del stack[len(stack) - k_left :]
     if checked:
         _require_descending(stack, "scan invariant broken: prefix not weakly descending")
-    return rebuild(xs, stack) + xs[consumed:]
+    del stack[0]
+    if xs is rest:  # a tuple or a list, scanned as it is
+        return rebuild(rest, stack) + rest[consumed:]
+    try:
+        return bytes(stack).decode("latin-1") + rest[consumed:]
+    except ValueError:  # a wide string, or a wide character from a gsolve prefix
+        return "".join(map(chr, stack)) + rest[consumed:]
 
 
 def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
@@ -87,10 +130,9 @@ def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
         raise ValueError("cannot drop more elements than present")
     if type(acc) is not type(rest):
         raise ValueError("acc and rest must be the same type of sequence")
-    stack = list(reversed(acc))
     if checked:
-        _require_descending(stack, "accumulator must be weakly nondecreasing front to back")
-    return _solve(k, stack, rest, checked)
+        _require_descending(acc[::-1], "accumulator must be weakly nondecreasing front to back")
+    return _solve(k, acc, rest, checked)
 
 
 def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
@@ -100,7 +142,7 @@ def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
     weakly descending.
     """
     check_deletion_count(k, xs)
-    return _solve(k, [], xs, checked)
+    return _solve(k, (), xs, checked)
 
 
 def count_steps(k: int, xs: S) -> int:
@@ -111,7 +153,7 @@ def count_steps(k: int, xs: S) -> int:
     and one terminal step ends the scan.  Bounded by ``len(xs) + k + 1``.
     """
     check_deletion_count(k, xs)
-    _, consumed, k_left = _scan(k, [], xs)
+    _, _, consumed, k_left = _scan(k, (), xs)
     return consumed + (k - k_left) + 1
 
 

@@ -45,6 +45,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--k", "3", "--file", str(source))
         assert code == 0 and out == "8334\n"
 
+    def test_file_keeps_carriage_returns(self, capsys, tmp_path):
+        source = tmp_path / "input.txt"
+        source.write_bytes(b"9\r1\r\n")
+        code, from_file, _ = run(capsys, "solve", "--k", "0", "--file", str(source))
+        assert code == 0
+        code, from_arg, _ = run(capsys, "solve", "--k", "0", "9\r1")
+        assert code == 0 and from_file == from_arg == "9\r1\n"
+
     def test_empty_input_zero_deletions(self, capsys):
         code, out, _ = run(capsys, "solve", "--k", "0", "")
         assert code == 0 and out == "\n"

@@ -40,6 +40,22 @@ class TestGsolve:
             gsolve(0, ["b"], ("c",))
         assert gsolve(1, ("a", "b"), ("c",)) == ("b", "c")
 
+    def test_prefix_and_input_of_different_widths(self):
+        # an astral prefix before ASCII input, and a Latin-1 prefix before
+        # astral input: the result may hold characters of either width
+        cases = [
+            ("\U0001f600\U0001f601", "1928"),
+            ("\U0001f601", "\u00ff1"),
+            ("\u00e9\u00ff", "\U00010000a\U0001f600"),
+            ("ab\u00ff", "\U00010000"),
+            ("\ud800\udfff", "z\udcff"),
+        ]
+        for acc, rest in cases:
+            whole = acc[::-1] + rest
+            for k in range(len(whole) + 1):
+                got = gsolve(k, acc, rest, checked=True)
+                assert got == solve_greedy(k, whole) == solve_linear(k, whole)
+
     def test_checked_mode_validates_accumulator(self):
         # 'ba' reads decreasing front to back, so checked mode rejects it
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -92,8 +108,9 @@ class TestSolveLinear:
         assert solve_linear(k, xs) == solve_greedy(k, xs)
 
 
-# ASCII, Latin-1, BMP and astral characters, drawn often enough to repeat
-MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600"
+# ASCII, Latin-1, BMP, astral and lone surrogate characters, drawn often
+# enough to repeat (st.characters() never draws a surrogate)
+MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600\ud800\udcff\udfff"
 
 
 @given(
