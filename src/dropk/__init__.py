@@ -22,7 +22,6 @@ from .greedy_condition import (
     KEEP,
     DelPlan,
     FootWitness,
-    GameOutcome,
     VerifyReport,
     alter,
     apply_plan,
@@ -32,7 +31,6 @@ from .greedy_condition import (
     delfoot,
     enumerate_plans,
     foot_witness,
-    game_outcome,
     verify_greedy_condition,
 )
 from .linear import ScanEvent, count_steps, gsolve, scan_events, solve_linear
@@ -45,7 +43,6 @@ __all__ = [
     "KEEP",
     "DelPlan",
     "FootWitness",
-    "GameOutcome",
     "ScanEvent",
     "VerifyReport",
     "alter",
@@ -59,7 +56,6 @@ __all__ = [
     "drops",
     "enumerate_plans",
     "foot_witness",
-    "game_outcome",
     "gsolve",
     "gstep",
     "hill_foot",

@@ -1,4 +1,4 @@
-"""Command line front end: solve, verify, bench and trace.
+"""Command line front end: solve, verify and trace.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a violation,
 2 on usage or precondition errors.
@@ -7,10 +7,7 @@ Exit codes: 0 on success, 1 when a verification sweep finds a violation,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import greedy, greedy_condition, linear, oracle, verify
@@ -20,10 +17,6 @@ from .core import drops, max_lex
 # bounds keep that under ~1e8.  It is a test instrument, not a fast path.
 NAIVE_MAX_LEN = 20
 NAIVE_MAX_K = 6
-
-# The greedy engine is quadratic (k scans over n elements); above this the
-# bench skips it rather than stall, same as it skips naive.
-GREEDY_BENCH_MAX_N = 10_000
 
 EQUIV_MAX_LEN = 9
 GAME_MAX_LEN = 7
@@ -40,22 +33,6 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass
-class BenchRecord:
-    """One timing row: engine, input size, deletion count, wall time and
-    the engine's own step counter where it has one."""
-
-    algo: str
-    n: int
-    k: int
-    wall_nanos: int
-    steps: int | None
-
-    def csv(self) -> str:
-        steps = "" if self.steps is None else str(self.steps)
-        return f"{self.algo},{self.n},{self.k},{self.wall_nanos},{steps}"
-
-
 def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
@@ -64,16 +41,6 @@ def _nonneg_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
-
-
-def _size_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
-    return values
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -85,26 +52,26 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
 def _load_input(args) -> str:
     if (args.input is None) == (args.file is None):
         raise _UsageError("provide exactly one input: positional text or --file")
-    if args.file is None:
-        return args.input
-    # bytes, not text mode: text mode would turn every "\r" into "\n"
-    try:
-        text = Path(args.file).read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise _UsageError(str(exc))
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"{args.file}: not valid UTF-8 (byte {exc.start}: {exc.reason})")
-    if text.endswith("\n"):
-        text = text[:-1]
-        if text.endswith("\r"):
+    text = args.input
+    if args.file is not None:
+        # bytes, not text mode: text mode would turn every "\r" into "\n"
+        try:
+            text = Path(args.file).read_bytes().decode("utf-8")
+        except OSError as exc:
+            raise _UsageError(str(exc))
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{args.file}: not valid UTF-8 (byte {exc.start}: {exc.reason})")
+        if text.endswith("\n"):
             text = text[:-1]
+            if text.endswith("\r"):
+                text = text[:-1]
+    if args.k > len(text):
+        raise _UsageError("cannot drop more elements than present")
     return text
 
 
 def cmd_solve(args) -> int:
     text = _load_input(args)
-    if args.k > len(text):
-        raise _UsageError("cannot drop more elements than present")
     if args.algo == "naive" and (len(text) > NAIVE_MAX_LEN or args.k > NAIVE_MAX_K):
         raise _UsageError(
             f"naive engine is limited to length <= {NAIVE_MAX_LEN} and k <= {NAIVE_MAX_K}"
@@ -160,29 +127,8 @@ def cmd_verify(args) -> int:
     return 0 if bad == 0 else 1
 
 
-def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    print("algo,n,k,wall_nanos,steps")
-    for n in args.sizes:
-        text = "".join(rng.choices("0123456789", k=n))
-        k = n // 2
-        for algo in ("naive", "greedy", "linear"):
-            if algo == "naive" and (n > NAIVE_MAX_LEN or k > NAIVE_MAX_K):
-                continue
-            if algo == "greedy" and n > GREEDY_BENCH_MAX_N:
-                continue
-            start = time.perf_counter_ns()
-            ENGINES[algo](k, text)
-            wall = time.perf_counter_ns() - start
-            steps = linear.count_steps(k, text) if algo == "linear" else None
-            print(BenchRecord(algo, n, k, wall, steps).csv())
-    return 0
-
-
 def cmd_trace(args) -> int:
     text = _load_input(args)
-    if args.k > len(text):
-        raise _UsageError("cannot drop more elements than present")
     for ev in linear.scan_events(args.k, text):
         line = f"k={ev.k} acc={ev.prefix!r} rest={ev.suffix!r} {ev.action}"
         if ev.action != "FINISH":
@@ -220,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--alphabet", required=True,
                             help="distinct characters the sequences are built from")
     verify_cmd.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="time the engines on random digit inputs, CSV output")
-    bench.add_argument("--sizes", type=_size_list, required=True,
-                       help="comma-separated input lengths; k is n/2")
-    bench.add_argument("--seed", type=int, required=True, help="RNG seed for the inputs")
-    bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser("trace", help="show every step of the linear scan")
     trace.add_argument("--k", type=_nonneg_int, required=True, help="number of deletions")

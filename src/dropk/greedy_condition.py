@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import not_
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import lex_le, rebuild, sequences
 from .greedy import hill_foot
@@ -76,17 +76,6 @@ class FootWitness:
             if xs[j] < xs[j + 1]:
                 return False
         return self.index == len(xs) - 1 or xs[self.index] < xs[self.index + 1]
-
-
-@dataclass(frozen=True)
-class GameOutcome:
-    """One round of the exchange game: the opponent's result, ours, and
-    whether domination and foot deletion held."""
-
-    adversary_result: Any
-    our_result: Any
-    mono_ok: bool
-    unfoot_ok: bool
 
 
 def foot_witness(xs: Sequence) -> FootWitness:
@@ -178,17 +167,6 @@ def check_mono_aux(x, tail, witness: FootWitness) -> bool:
         raise ValueError("x must be >= the head of tail")
     _require_witness(tail, witness)
     return lex_le(tail, rebuild(tail, (x, *apply_plan(tail, delfoot(witness)))))
-
-
-def game_outcome(xs, plan: DelPlan, witness: FootWitness) -> GameOutcome:
-    """Play one round: rewrite the opponent's plan and compare results."""
-    _require_witness(xs, witness)
-    altered = alter(plan, witness)
-    adversary = apply_plan(xs, plan)
-    ours = apply_plan(xs, altered)
-    return GameOutcome(
-        adversary, ours, lex_le(adversary, ours), altered.actions[witness.index]
-    )
 
 
 def enumerate_plans(k: int, n: int) -> list[DelPlan]:

@@ -7,6 +7,10 @@ When the deletion budget hits zero the rest of the input is kept
 verbatim; when input runs out first, the remaining deletions fall on the
 stack top.
 
+``gsolve(k, acc, rest)``, the paper's form with a traversed prefix, is
+defined as the solve of ``reverse(acc) + rest``, and it runs this one
+scan on exactly that sequence.
+
 A string is scanned as its code points, which order exactly as its
 characters do and compare faster: its Latin-1 bytes when every
 character fits in one, otherwise a UTF-32 view (lone surrogates
@@ -60,29 +64,27 @@ _TOP = _Top()
 _TOP_CODE = 0x110000
 
 
-def _scan(k: int, acc: S, rest: S) -> tuple[list, Any, int, int]:
-    """Run the scan over ``rest`` with ``k`` deletions, resuming from the
-    traversed prefix ``acc`` (stored newest-first).
+def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
+    """Run the scan over ``xs`` with ``k`` deletions.
 
     Returns the stack (the sentinel, then the kept prefix oldest first),
     the sequence scanned (code points for a string), the number of its
     elements consumed and the deletions left.  Deletions are left only
     when the input ran out, and they fall on the stack top; otherwise
-    ``rest[consumed:]`` is kept.
+    ``xs[consumed:]`` is kept.
     """
-    if isinstance(rest, str):
-        # most calls have no prefix; skip building map and reversed for it
-        stack = [_TOP_CODE, *map(ord, reversed(acc))] if acc else [_TOP_CODE]
+    if isinstance(xs, str):
+        stack = [_TOP_CODE]
         try:
-            xs = rest.encode("latin-1")
+            xs = xs.encode("latin-1")
         except UnicodeEncodeError:
             # the native-order codec writes a 4-byte byte-order mark first
-            xs = memoryview(rest.encode("utf-32", "surrogatepass"))[4:].cast("I")
+            xs = memoryview(xs.encode("utf-32", "surrogatepass"))[4:].cast("I")
     else:
-        stack, xs = [_TOP, *reversed(acc)], rest
+        stack = [_TOP]
     if not k:
         return stack, xs, 0, 0
-    base, budget = len(stack), k
+    budget = k
     top = stack[-1]
     for y in xs:
         if top < y:
@@ -93,46 +95,46 @@ def _scan(k: int, acc: S, rest: S) -> tuple[list, Any, int, int]:
                 k -= 1
             if not k:
                 # pushes are the elements consumed, pops the whole budget
-                return stack, xs, len(stack) - base + budget, 0
+                return stack, xs, len(stack) - 1 + budget, 0
         stack.append(y)
         top = y
     return stack, xs, len(xs), k
 
 
-def _solve(k: int, acc: S, rest: S, checked: bool) -> S:
-    stack, xs, consumed, k_left = _scan(k, acc, rest)
+def _solve(k: int, xs: S, checked: bool) -> S:
+    stack, scanned, consumed, k_left = _scan(k, xs)
     if k_left:
         del stack[len(stack) - k_left :]
     if checked:
         _require_descending(stack, "scan invariant broken: prefix not weakly descending")
     del stack[0]
-    if xs is rest:  # a tuple or a list, scanned as it is
-        return rebuild(rest, stack) + rest[consumed:]
-    try:
-        return bytes(stack).decode("latin-1") + rest[consumed:]
-    except ValueError:  # a wide string, or a wide character from a gsolve prefix
-        return "".join(map(chr, stack)) + rest[consumed:]
+    if scanned is xs:  # a tuple or a list, scanned as it is
+        return rebuild(xs, stack) + xs[consumed:]
+    if type(scanned) is bytes:  # a Latin-1 string
+        return bytes(stack).decode("latin-1") + xs[consumed:]
+    return "".join(map(chr, stack)) + xs[consumed:]
 
 
 def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
-    """Solve ``reverse(acc) + rest`` with ``k`` deletions, resuming a scan
-    whose traversed prefix is ``acc``.
+    """Solve ``reverse(acc) + rest`` with ``k`` deletions: the optimum of
+    that whole sequence, for any prefix ``acc``.
 
-    ``acc`` is stored newest-first, so read front to back it must be
-    weakly nondecreasing (its reverse, the logical prefix, is weakly
-    descending).  That ordering is only validated with ``checked=True``,
-    in O(len(acc)); ``k`` is always validated against the combined
-    length, and ``acc`` and ``rest`` must be the same type of sequence.
+    ``acc`` is the traversed prefix stored newest-first, and ``acc`` and
+    ``rest`` must be the same type of sequence.  This is the scan of
+    :func:`solve_linear` run on ``acc[::-1] + rest``, so an ``acc`` in any
+    order gives the right answer.  ``checked=True`` also raises
+    ``ValueError`` unless ``acc``, read front to back, is weakly
+    nondecreasing, as a prefix saved by the scan would be; that costs
+    O(len(acc)).
     """
-    if k < 0:
-        raise ValueError("deletion count must be >= 0")
-    if k > len(acc) + len(rest):
-        raise ValueError("cannot drop more elements than present")
     if type(acc) is not type(rest):
         raise ValueError("acc and rest must be the same type of sequence")
+    prefix = acc[::-1]
+    whole = prefix + rest
+    check_deletion_count(k, whole)
     if checked:
-        _require_descending(acc[::-1], "accumulator must be weakly nondecreasing front to back")
-    return _solve(k, acc, rest, checked)
+        _require_descending(prefix, "accumulator must be weakly nondecreasing front to back")
+    return _solve(k, whole, checked)
 
 
 def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
@@ -142,7 +144,7 @@ def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
     weakly descending.
     """
     check_deletion_count(k, xs)
-    return _solve(k, (), xs, checked)
+    return _solve(k, xs, checked)
 
 
 def count_steps(k: int, xs: S) -> int:
@@ -153,7 +155,7 @@ def count_steps(k: int, xs: S) -> int:
     and one terminal step ends the scan.  Bounded by ``len(xs) + k + 1``.
     """
     check_deletion_count(k, xs)
-    _, _, consumed, k_left = _scan(k, (), xs)
+    _, _, consumed, k_left = _scan(k, xs)
     return consumed + (k - k_left) + 1
 
 

@@ -1,6 +1,3 @@
-import csv
-import io
-
 import pytest
 
 import dropk.greedy_condition
@@ -57,9 +54,12 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--k", "0", "")
         assert code == 0 and out == "\n"
 
-    def test_too_many_deletions(self, capsys):
-        code, _, err = run(capsys, "solve", "--k", "4", "abc")
-        assert code == 2 and "cannot drop more" in err
+    def test_too_many_deletions(self, capsys, tmp_path):
+        source = tmp_path / "input.txt"
+        source.write_text("abc\n", encoding="utf-8")
+        for given in (["abc"], ["--file", str(source)]):
+            code, out, err = run(capsys, "solve", "--k", "4", *given)
+            assert code == 2 and out == "" and "cannot drop more" in err
 
     def test_naive_cost_guard(self, capsys):
         code, _, err = run(capsys, "solve", "--k", "7", "--algo", "naive",
@@ -140,51 +140,6 @@ class TestVerify:
         assert out.splitlines()[-1].endswith(" problems found")
 
 
-class TestBench:
-    def parse(self, out):
-        return list(csv.DictReader(io.StringIO(out)))
-
-    def test_header_and_row_count(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "20,40", "--seed", "7")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "algo,n,k,wall_nanos,steps"
-        rows = self.parse(out)
-        # k = n/2 exceeds the naive guard at both sizes: two engines each
-        assert [(r["algo"], r["n"]) for r in rows] == [
-            ("greedy", "20"), ("linear", "20"), ("greedy", "40"), ("linear", "40"),
-        ]
-
-    def test_naive_included_when_cheap(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "8", "--seed", "1")
-        assert code == 0
-        rows = self.parse(out)
-        assert [r["algo"] for r in rows] == ["naive", "greedy", "linear"]
-
-    def test_linear_rows_have_bounded_steps(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "100,1000", "--seed", "42")
-        assert code == 0
-        for row in self.parse(out):
-            n, k = int(row["n"]), int(row["k"])
-            assert k == n // 2
-            assert int(row["wall_nanos"]) > 0
-            if row["algo"] == "linear":
-                assert int(row["steps"]) <= n + k + 1
-            else:
-                assert row["steps"] == ""
-
-    def test_deterministic_inputs(self, capsys):
-        _, first, _ = run(capsys, "bench", "--sizes", "50", "--seed", "3")
-        _, second, _ = run(capsys, "bench", "--sizes", "50", "--seed", "3")
-        strip = lambda out: [row["steps"] for row in self.parse(out)]
-        assert strip(first) == strip(second)
-
-    def test_sizes_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--sizes", "0,10", "--seed", "1"])
-        assert exc.value.code == 2
-
-
 class TestTrace:
     def test_push_pop_finish(self, capsys):
         code, out, _ = run(capsys, "trace", "--k", "1", "19")
@@ -207,6 +162,9 @@ class TestTrace:
         assert code == 0
         assert out.splitlines()[-1] == "8334"
 
-    def test_too_many_deletions(self, capsys):
-        code, _, err = run(capsys, "trace", "--k", "3", "19")
-        assert code == 2 and "cannot drop more" in err
+    def test_too_many_deletions(self, capsys, tmp_path):
+        source = tmp_path / "input.txt"
+        source.write_text("19\n", encoding="utf-8")
+        for given in (["19"], ["--file", str(source)]):
+            code, out, err = run(capsys, "trace", "--k", "3", *given)
+            assert code == 2 and out == "" and "cannot drop more" in err

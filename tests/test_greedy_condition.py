@@ -19,7 +19,6 @@ from dropk.greedy_condition import (
     delfoot,
     enumerate_plans,
     foot_witness,
-    game_outcome,
     verify_greedy_condition,
 )
 
@@ -228,6 +227,9 @@ class TestAlter:
 class TestCheckers:
     def test_mono_and_unfoot_example(self):
         w = foot_witness("19")
+        # the opponent keeps the foot '1'; the rewrite deletes it instead
+        assert apply_plan("19", plan("kd")) == "1"
+        assert apply_plan("19", alter(plan("kd"), w)) == "9"
         assert check_mono("19", plan("kd"), w)
         assert check_unfoot("19", plan("kd"), w)
 
@@ -239,13 +241,6 @@ class TestCheckers:
     def test_invalid_witness_rejected(self):
         with pytest.raises(ValueError, match="witness"):
             check_mono("19", plan("kd"), FootWitness(1, 2))
-
-    def test_game_outcome_fields(self):
-        outcome = game_outcome("19", plan("kd"), foot_witness("19"))
-        assert outcome.adversary_result == "1"
-        assert outcome.our_result == "9"
-        assert outcome.mono_ok == lex_le(outcome.adversary_result, outcome.our_result)
-        assert outcome.unfoot_ok
 
 
 class TestCheckMonoAux:

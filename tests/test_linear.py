@@ -128,6 +128,23 @@ def test_differential_across_sequence_kinds(text, kind, data):
     assert count_steps(k, xs) == len(list(scan_events(k, xs)))
 
 
+
+@given(
+    st.text(alphabet=st.one_of(st.sampled_from(MIXED_CHARS), st.characters()), max_size=20),
+    st.text(alphabet=st.one_of(st.sampled_from(MIXED_CHARS), st.characters()), max_size=20),
+    st.sampled_from((str, tuple, list)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_gsolve_solves_reversed_prefix_then_rest(acc_text, rest_text, kind, data):
+    # acc in any order, not only the weakly nondecreasing one a scan saves
+    acc, rest = (acc_text, rest_text) if kind is str else (kind(acc_text), kind(rest_text))
+    whole = acc[::-1] + rest
+    k = data.draw(st.integers(0, len(whole)))
+    got = gsolve(k, acc, rest)
+    assert type(got) is kind
+    assert got == solve_greedy(k, whole)
+
 class TestSplittingProperty:
     def test_split_point_behaviour(self):
         # while the next element does not rise above the descending
