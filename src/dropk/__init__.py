@@ -11,12 +11,7 @@ other exhaustive sweeps.
 """
 
 from .core import drops, lex_le, max_lex
-from .greedy import (
-    better_global_counterexample,
-    gstep,
-    hill_foot,
-    solve_greedy,
-)
+from .greedy import better_global_counterexample, gstep, hill_foot, solve_greedy
 from .greedy_condition import (
     DEL,
     KEEP,

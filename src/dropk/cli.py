@@ -130,10 +130,8 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     text = _load_input(args)
     for ev in linear.scan_events(args.k, text):
-        line = f"k={ev.k} acc={ev.prefix!r} rest={ev.suffix!r} {ev.action}"
-        if ev.action != "FINISH":
-            line += f" {ev.element!r}"
-        print(line)
+        element = "" if ev.action == "FINISH" else f" {ev.element!r}"
+        print(f"k={ev.k} i={ev.index} depth={ev.depth} {ev.action}{element}")
     print(linear.solve_linear(args.k, text))
     return 0
 

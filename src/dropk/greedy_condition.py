@@ -4,9 +4,12 @@
 deletes d >= 1 elements of a sequence, the plan can be rewritten so that
 it deletes the hill foot while producing a result at least as large.
 This module makes that argument executable.  Plans are per-position
-keep/delete instructions, ``alter`` is the rewriting strategy, and
-``verify_greedy_condition`` plays every round of the game up to a given
-length, reporting any violation instead of raising.
+keep/delete instructions and ``alter`` is the rewriting strategy.  One
+unchecked ``_round`` plays a round; ``check_mono`` and ``check_unfoot``
+validate once and ask it, and ``verify_greedy_condition`` plays every
+round up to a given length through it, reporting any violation instead
+of raising.  A round is won when the rewrite deletes the foot, keeps
+the opponent's deletion count and gives a result no smaller.
 """
 
 from __future__ import annotations
@@ -87,7 +90,11 @@ def apply_plan(xs, plan: DelPlan):
     """Carry out the instructions: drop the DEL positions, keep the rest."""
     if plan.base_length != len(xs):
         raise ValueError("plan targets a different length")
-    return rebuild(xs, compress(xs, map(not_, plan.actions)))
+    return _apply(xs, plan.actions)
+
+
+def _apply(xs, actions: tuple[bool, ...]):
+    return rebuild(xs, compress(xs, map(not_, actions)))
 
 
 def delfoot(witness: FootWitness) -> DelPlan:
@@ -107,13 +114,17 @@ def alter(plan: DelPlan, witness: FootWitness) -> DelPlan:
     otherwise the last deletion must be saved for the foot, so this
     position is kept instead.  The deletion count is always preserved.
     """
+    _require_round(plan, witness)
+    return DelPlan(_alter(plan.actions, witness.index))
+
+
+def _require_round(plan: DelPlan, witness: FootWitness) -> None:
     if plan.base_length != witness.target_length:
         raise ValueError("plan and witness target different lengths")
     if not 0 <= witness.index < plan.base_length:
         raise ValueError("witness index out of range")
     if plan.deletions == 0:
         raise ValueError("plan must delete at least one element")
-    return DelPlan(_alter(plan.actions, witness.index))
 
 
 def _alter(actions: tuple[bool, ...], foot: int) -> tuple[bool, ...]:
@@ -140,6 +151,13 @@ def _alter(actions: tuple[bool, ...], foot: int) -> tuple[bool, ...]:
     return tuple(out)
 
 
+def _round(xs, actions: tuple[bool, ...], foot: int):
+    """One round, unchecked, of a plan that fits ``xs`` and deletes at
+    least once: the opponent's result, the rewrite and its result."""
+    altered = _alter(actions, foot)
+    return _apply(xs, actions), altered, _apply(xs, altered)
+
+
 def _require_witness(xs, witness: FootWitness) -> None:
     if not witness.valid_for(xs):
         raise ValueError("witness does not match the sequence")
@@ -149,13 +167,17 @@ def check_mono(xs, plan: DelPlan, witness: FootWitness) -> bool:
     """Does the rewritten plan produce a result no smaller than the
     opponent's?"""
     _require_witness(xs, witness)
-    return lex_le(apply_plan(xs, plan), apply_plan(xs, alter(plan, witness)))
+    _require_round(plan, witness)
+    adversary, _, ours = _round(xs, plan.actions, witness.index)
+    return lex_le(adversary, ours)
 
 
 def check_unfoot(xs, plan: DelPlan, witness: FootWitness) -> bool:
     """Does the rewritten plan delete the hill foot?"""
     _require_witness(xs, witness)
-    return alter(plan, witness).actions[witness.index]
+    _require_round(plan, witness)
+    _, altered, _ = _round(xs, plan.actions, witness.index)
+    return altered[witness.index]
 
 
 def check_mono_aux(x, tail, witness: FootWitness) -> bool:
@@ -203,12 +225,12 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     """Play every round of the exchange game up to ``max_len``.
 
     For every sequence over ``alphabet``, every deletion count d >= 1
-    and every d-deletion plan, the rewritten plan must weakly dominate
-    the opponent's and delete the hill foot.  Independently of the
-    rewriting, the best foot-deleting plan must dominate the best
-    unrestricted plan; those maxima are compared per sequence and count,
-    straight from the enumerated results, so a wrong rewrite cannot hide
-    a broken claim.  Violations are collected as data, never raised.
+    and every d-deletion plan, the rewritten plan must delete the hill
+    foot, keep all d deletions and weakly dominate the opponent's.  The
+    best foot-deleting plan must also dominate the best unrestricted
+    plan; those maxima come straight from the opponents' results, so a
+    wrong rewrite cannot hide a broken claim.  Violations are collected
+    as data, never raised.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -220,35 +242,27 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     first: str | None = None
 
     for n in range(1, max_len + 1):
-        plans_by_count = [enumerate_plans(d, n) for d in range(n + 1)]
+        actions_by_count = [[p.actions for p in enumerate_plans(d, n)] for d in range(n + 1)]
         for xs in sequences(alphabet, n, n):
-            witness = foot_witness(xs)
-            foot = witness.index
+            foot = foot_witness(xs).index
             for d in range(1, n + 1):
-                best_any = None
-                best_foot = None
-                for plan in plans_by_count[d]:
-                    adversary = apply_plan(xs, plan)
-                    altered = alter(plan, witness)
-                    ours = apply_plan(xs, altered)
+                best_any = best_foot = None
+                for actions in actions_by_count[d]:
+                    adversary, altered, ours = _round(xs, actions, foot)
                     cases += 1
-                    if not (lex_le(adversary, ours) and altered.actions[foot]):
+                    if not (lex_le(adversary, ours) and altered[foot] and sum(altered) == d):
                         violations += 1
                         if first is None:
-                            first = f"xs={xs!r} plan={plan} altered={altered}"
+                            first = f"xs={xs!r} plan={DelPlan(actions)} altered={DelPlan(altered)}"
                     if best_any is None or not lex_le(adversary, best_any):
                         best_any = adversary
-                    if plan.actions[foot] and (
-                        best_foot is None or not lex_le(adversary, best_foot)
-                    ):
+                    if actions[foot] and (best_foot is None or not lex_le(adversary, best_foot)):
                         best_foot = adversary
                 maxima_checks += 1
                 if not lex_le(best_any, best_foot):
                     violations += 1
                     if first is None:
-                        first = (
-                            f"xs={xs!r} d={d} best={best_any!r} "
-                            f"foot-deleting best={best_foot!r}"
-                        )
+                        first = (f"xs={xs!r} d={d} best={best_any!r} "
+                                 f"foot-deleting best={best_foot!r}")
 
     return VerifyReport(max_len, tokens, cases, maxima_checks, violations, first)

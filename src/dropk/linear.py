@@ -7,10 +7,6 @@ When the deletion budget hits zero the rest of the input is kept
 verbatim; when input runs out first, the remaining deletions fall on the
 stack top.
 
-``gsolve(k, acc, rest)``, the paper's form with a traversed prefix, is
-defined as the solve of ``reverse(acc) + rest``, and it runs this one
-scan on exactly that sequence.
-
 A string is scanned as its code points, which order exactly as its
 characters do and compare faster: its Latin-1 bytes when every
 character fits in one, otherwise a UTF-32 view (lone surrogates
@@ -28,9 +24,7 @@ push and pop exactly where characters would, so the count is the same.
 ``checked=True`` makes one O(n) pass over the kept prefix after the scan
 and raises ``ValueError`` unless it is weakly descending.  An element is
 pushed only onto the sentinel or a top at least as large, so that one
-pass checks the invariant every step relied on.  (The CLI reads
-``--file`` input as UTF-8; a file that is not valid UTF-8 is a usage
-error, exit code 2.)
+pass checks the invariant every step relied on.
 """
 
 from __future__ import annotations
@@ -163,41 +157,39 @@ def count_steps(k: int, xs: S) -> int:
 class ScanEvent:
     """State right before one scan step and the action it took.
 
-    ``prefix`` is the traversed prefix in logical (descending) order and
-    ``suffix`` the not-yet-consumed input, both the same kind of sequence
-    as the input.  ``element`` is the element pushed or popped, None for
-    the terminal FINISH step.
+    ``index`` is the position of the next input element and ``depth``
+    the number of elements on the stack.  ``element`` is the element
+    pushed or popped, None for the terminal FINISH step.
     """
 
     action: str  # "PUSH", "POP" or "FINISH"
     element: Any
     k: int
-    prefix: Any
-    suffix: Any
+    index: int
+    depth: int
 
 
 def scan_events(k: int, xs: S) -> Iterator[ScanEvent]:
     """Replay of the :func:`solve_linear` scan, one event per step.
 
-    Every event snapshots the prefix and suffix, so this is for traces
-    and tests, not the hot path.  The number of events equals
-    :func:`count_steps`.
+    An event holds positions and counts, not copies of the sequence, so
+    a replay costs O(1) per step; the prefix it describes is rebuilt from
+    the PUSH and POP events before it, and the unread input is
+    ``xs[index:]``.  The number of events equals :func:`count_steps`.
     """
     check_deletion_count(k, xs)
     stack: list = []
     i, n = 0, len(xs)
     while True:
-        prefix = rebuild(xs, stack)
-        suffix = xs[i:]
+        depth = len(stack)
         if k == 0 or i == n:
-            yield ScanEvent("FINISH", None, k, prefix, suffix)
+            yield ScanEvent("FINISH", None, k, i, depth)
             return
         y = xs[i]
         if stack and stack[-1] < y:
-            yield ScanEvent("POP", stack[-1], k, prefix, suffix)
-            stack.pop()
+            yield ScanEvent("POP", stack.pop(), k, i, depth)
             k -= 1
         else:
-            yield ScanEvent("PUSH", y, k, prefix, suffix)
+            yield ScanEvent("PUSH", y, k, i, depth)
             stack.append(y)
             i += 1

@@ -2,12 +2,13 @@
 
 ``solve_naive`` enumerates every order of deleting ``k`` elements and
 takes the lexicographic maximum.  It exists to be trusted, not to be
-fast; the other engines are checked against it.
+fast; the other engines are checked against it.  Both solvers read
+the candidates round by round from one generator, ``_frontiers``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .core import check_deletion_count, drops, max_lex
 
@@ -26,6 +27,18 @@ def step(xss: Sequence[S]) -> list[S]:
     return out
 
 
+def _frontiers(xs: S, rounds: int, dedupe: bool) -> Iterator[Sequence[S] | set[S]]:
+    """The candidates after each of ``rounds`` deletion rounds, starting
+    from ``xs``: a list with duplicates, or a set without them."""
+    frontier: Sequence[S] | set[S] = [xs]
+    for _ in range(rounds):
+        if dedupe:
+            frontier = {c[:i] + c[i + 1 :] for c in frontier for i in range(len(c))}
+        else:
+            frontier = step(frontier)
+        yield frontier
+
+
 def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
     """Largest sequence reachable from ``xs`` by deleting exactly ``k``
     elements, found by full enumeration.
@@ -36,15 +49,10 @@ def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
     cannot change the maximum but keeps verification sweeps affordable.
     """
     check_deletion_count(k, xs)
-    if dedupe:
-        frontier = {xs}
-        for _ in range(k):
-            frontier = {c[:i] + c[i + 1 :] for c in frontier for i in range(len(c))}
-        return max_lex(frontier)
-    candidates = [xs]
-    for _ in range(k):
-        candidates = step(candidates)
-    return max_lex(candidates)
+    frontier = [xs]
+    for frontier in _frontiers(xs, k, dedupe):
+        pass
+    return max_lex(frontier)
 
 
 def solve_naive_all_k(xs: S, *, dedupe: bool = False) -> list[S]:
@@ -53,12 +61,4 @@ def solve_naive_all_k(xs: S, *, dedupe: bool = False) -> list[S]:
     Verification sweeps need the answer for every deletion count; sharing
     the candidate frontier across counts avoids re-enumerating it.
     """
-    maxima = [xs]
-    frontier: Sequence[S] | set[S] = [xs]
-    for _ in range(len(xs)):
-        if dedupe:
-            frontier = {c[:i] + c[i + 1 :] for c in frontier for i in range(len(c))}
-        else:
-            frontier = step(frontier)
-        maxima.append(max_lex(frontier))
-    return maxima
+    return [xs] + [max_lex(frontier) for frontier in _frontiers(xs, len(xs), dedupe)]

@@ -126,7 +126,7 @@ class TestVerify:
         # the linear engine keeps everything: the equivalence sweep disagrees
         (dropk.verify, "solve_linear", lambda k, xs: xs, "  first mismatch: "),
         # an identity rewrite never deletes a kept foot: the game loses rounds
-        (dropk.greedy_condition, "alter", lambda plan, witness: plan,
+        (dropk.greedy_condition, "_alter", lambda actions, foot: actions,
          "first counterexample: "),
         # the prefix-dominance helper rejects every tail
         (dropk.verify, "check_mono_aux", lambda x, tail, witness: False,
@@ -138,6 +138,23 @@ class TestVerify:
         assert code == 1
         assert any(line.startswith(first) for line in out.splitlines())
         assert out.splitlines()[-1].endswith(" problems found")
+
+    def test_lost_deletion_exits_1(self, capsys, monkeypatch):
+        # a rewrite that keeps its first deletion off the foot still deletes
+        # the foot and never gives a smaller result; only the count shows it
+        real = dropk.greedy_condition._alter
+
+        def lossy(actions, foot):
+            out = list(real(actions, foot))
+            lost = next((i for i, a in enumerate(out) if a and i != foot), None)
+            if lost is not None:
+                out[lost] = False
+            return tuple(out)
+
+        monkeypatch.setattr(dropk.greedy_condition, "_alter", lossy)
+        code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
+        assert code == 1
+        assert "first counterexample: xs='11' plan=dd altered=kd" in out
 
 
 class TestTrace:
@@ -161,6 +178,25 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "--k", "3", "6782334")
         assert code == 0
         assert out.splitlines()[-1] == "8334"
+
+    def test_step_lines_stay_short(self, capsys):
+        # a step line must not copy the prefix or the unread input
+        n = 4000
+        code, out, _ = run(capsys, "trace", "--k", "1", "1" * n)
+        assert code == 0
+        lines = out.splitlines()
+        steps = len(lines) - 1
+        assert steps == n + 1 and lines[-1] == "1" * (n - 1)
+        assert len(out.encode()) < 100 * steps
+
+    def test_step_line_fields(self, capsys):
+        code, out, _ = run(capsys, "trace", "--k", "1", "19")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "k=1 i=0 depth=0 PUSH '1'",
+            "k=1 i=1 depth=1 POP '1'",
+            "k=0 i=1 depth=0 FINISH",
+        ]
 
     def test_too_many_deletions(self, capsys, tmp_path):
         source = tmp_path / "input.txt"

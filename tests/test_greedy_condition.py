@@ -242,6 +242,16 @@ class TestCheckers:
         with pytest.raises(ValueError, match="witness"):
             check_mono("19", plan("kd"), FootWitness(1, 2))
 
+    @pytest.mark.parametrize("checker", [check_mono, check_unfoot])
+    def test_plan_of_wrong_length_rejected(self, checker):
+        with pytest.raises(ValueError, match="different lengths"):
+            checker("19", plan("kdk"), foot_witness("19"))
+
+    @pytest.mark.parametrize("checker", [check_mono, check_unfoot])
+    def test_plan_without_deletions_rejected(self, checker):
+        with pytest.raises(ValueError, match="at least one"):
+            checker("19", plan("kk"), foot_witness("19"))
+
 
 class TestCheckMonoAux:
     def test_examples(self):

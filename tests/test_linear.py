@@ -183,14 +183,16 @@ class TestScanEvents:
     def test_push_pop_finish_trace(self):
         events = list(scan_events(1, "19"))
         assert [e.action for e in events] == ["PUSH", "POP", "FINISH"]
-        assert events[0].element == "1" and events[0].suffix == "19"
+        assert events[0].element == "1" and (events[0].index, events[0].depth) == (0, 0)
         assert events[1].element == "1" and events[1].k == 1
-        assert events[2].k == 0 and events[2].suffix == "9"
+        assert (events[1].index, events[1].depth) == (1, 1)
+        assert events[2].k == 0 and "19"[events[2].index :] == "9"
+        assert events[2].depth == 0
 
     def test_zero_budget_trace(self):
         events = list(scan_events(0, "abc"))
         assert [e.action for e in events] == ["FINISH"]
-        assert events[0].suffix == "abc"
+        assert (events[0].index, events[0].depth) == (0, 0)
 
     def test_event_count_matches_step_count(self):
         for alphabet in ("ab", "abc"):
@@ -200,10 +202,20 @@ class TestScanEvents:
                         assert len(list(scan_events(k, xs))) == count_steps(k, xs)
 
     def test_prefix_stays_weakly_descending(self):
+        # the stack rebuilt from the PUSH and POP events stays weakly
+        # descending, matches every event's index and depth, and leads to
+        # the linear engine's answer
         for xs in all_sequences("abc", 6):
             for k in range(len(xs) + 1):
+                stack = []
                 for event in scan_events(k, xs):
-                    prefix = event.prefix
-                    assert all(
-                        prefix[j] >= prefix[j + 1] for j in range(len(prefix) - 1)
-                    )
+                    assert event.depth == len(stack)
+                    assert event.index == len(stack) + (k - event.k)
+                    if event.action == "PUSH":
+                        assert event.element == xs[event.index]
+                        stack.append(event.element)
+                    elif event.action == "POP":
+                        assert event.element == stack.pop()
+                    assert all(stack[j] >= stack[j + 1] for j in range(len(stack) - 1))
+                kept = stack[: len(stack) - event.k]
+                assert "".join(kept) + xs[event.index :] == solve_linear(k, xs)
