@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import greedy, greedy_condition, linear, oracle, verify
 from .core import drops, max_lex
 
-# The exhaustive engine enumerates n*(n-1)*...*(n-k+1) candidates; these
-# bounds keep that under ~1e8.  It is a test instrument, not a fast path.
+# The exhaustive engine merges duplicate candidates between rounds, so
+# round j holds at most C(n, j) distinct ones: C(20, 6) = 38,760 at these
+# bounds.  It is a test instrument, not a fast path.
 NAIVE_MAX_LEN = 20
 NAIVE_MAX_K = 6
 
@@ -23,7 +25,7 @@ GAME_MAX_LEN = 7
 AUX_MAX_LEN = 6
 
 ENGINES = {
-    "naive": oracle.solve_naive,
+    "naive": partial(oracle.solve_naive, dedupe=True),
     "greedy": greedy.solve_greedy,
     "linear": linear.solve_linear,
 }

@@ -1,9 +1,15 @@
 """Sequences over a totally ordered alphabet, and one-step deletions.
 
 Everything in this package works on any sliceable sequence whose slices
-concatenate (str, tuple, list) and whose elements support ``<``.  Strings
-are the common case: characters compare by Unicode scalar value, so digit
-strings order the way equal-width numbers do.
+concatenate (str, tuple, list).  Elements must be totally ordered by
+``<``, and ``==`` must hold exactly when neither element is smaller.
+Under that contract Python's own sequence comparison, which skips equal
+heads by ``==`` and lets the first ``<`` decide, is the lexicographic
+order whose maximum the engines find: :func:`lex_le` and :func:`max_lex`
+are that comparison, the sweeps compare results with ``==`` and
+:func:`sequences` sorts the alphabet.  The engines use only ``<`` on
+elements.  Strings are the common case: characters compare by Unicode
+scalar value, so digit strings order the way equal-width numbers do.
 """
 
 from __future__ import annotations
@@ -14,38 +20,24 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 S = TypeVar("S", str, tuple, list)
 
 
-def lex_le(a: Sequence, b: Sequence) -> bool:
-    """True iff ``a`` is lexicographically no larger than ``b``.
-
-    The empty sequence is below everything, a strictly smaller head
-    decides, and equal heads defer to the tails.  Consequently a proper
-    prefix sits below its extensions ("87" is below "875") and never the
-    other way around.  Only ``<`` is used on elements, so any total
-    element order works.
+def lex_le(a: S, b: S) -> bool:
+    """True iff ``a`` is lexicographically no larger than ``b``: Python's
+    own sequence order, so a proper prefix sits below its extensions
+    ("87" is below "875").  Comparing a str with a tuple raises
+    ``TypeError``, as ``<`` does.
     """
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if y < x:
-            return False
-    return len(a) <= len(b)
+    return not b < a
 
 
 def max_lex(candidates: Iterable[S]) -> S:
-    """The largest candidate under :func:`lex_le`.
+    """The largest candidate under :func:`lex_le`, by the built-in ``max``.
 
     Ties between equal candidates resolve to the first occurrence, which
     keeps traces deterministic.  Raises ``ValueError`` on an empty
     collection.
     """
-    best = None
-    seen = False
-    for c in candidates:
-        if not seen:
-            best, seen = c, True
-        elif not lex_le(c, best):
-            best = c
-    if not seen:
+    best = max(candidates, default=None)
+    if best is None:
         raise ValueError("empty candidate set")
     return best
 

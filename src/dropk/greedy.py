@@ -10,11 +10,7 @@ whole problem in O(k*n).
 
 from __future__ import annotations
 
-from typing import TypeVar
-
-from .core import check_deletion_count, drops, lex_le, max_lex
-
-S = TypeVar("S", str, tuple, list)
+from .core import S, check_deletion_count, drops, lex_le, max_lex
 
 
 def hill_foot(xs: S) -> int:

@@ -30,11 +30,9 @@ pass checks the invariant every step relied on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, TypeVar
+from typing import Any, Iterator
 
-from .core import check_deletion_count, rebuild
-
-S = TypeVar("S", str, tuple, list)
+from .core import S, check_deletion_count, rebuild
 
 
 def _require_descending(stack: list, message: str) -> None:

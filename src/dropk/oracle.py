@@ -8,11 +8,9 @@ the candidates round by round from one generator, ``_frontiers``.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
-from .core import check_deletion_count, drops, max_lex
-
-S = TypeVar("S", str, tuple, list)
+from .core import S, check_deletion_count, drops, max_lex
 
 
 def step(xss: Sequence[S]) -> list[S]:
@@ -49,6 +47,9 @@ def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
     cannot change the maximum but keeps verification sweeps affordable.
     """
     check_deletion_count(k, xs)
+    if dedupe and isinstance(xs, list):
+        # lists are unhashable: merge duplicates as tuples, hand back a list
+        return list(solve_naive(k, tuple(xs), dedupe=True))
     frontier = [xs]
     for frontier in _frontiers(xs, k, dedupe):
         pass
@@ -61,4 +62,6 @@ def solve_naive_all_k(xs: S, *, dedupe: bool = False) -> list[S]:
     Verification sweeps need the answer for every deletion count; sharing
     the candidate frontier across counts avoids re-enumerating it.
     """
+    if dedupe and isinstance(xs, list):
+        return [list(best) for best in solve_naive_all_k(tuple(xs), dedupe=True)]
     return [xs] + [max_lex(frontier) for frontier in _frontiers(xs, len(xs), dedupe)]

@@ -1,5 +1,9 @@
 from itertools import combinations, product
 
+# ASCII, Latin-1, BMP, astral and lone surrogate characters, drawn often
+# enough to repeat (st.characters() never draws a surrogate)
+MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600\ud800\udcff\udfff"
+
 
 def all_sequences(alphabet, max_len, min_len=0):
     """Every string over ``alphabet`` with min_len <= length <= max_len."""

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import dropk.greedy_condition
@@ -72,6 +74,14 @@ class TestSolve:
     def test_naive_within_guard(self, capsys):
         code, out, _ = run(capsys, "solve", "--k", "3", "--algo", "naive", "6782334")
         assert code == 0 and out == "8334\n"
+
+    def test_naive_merges_duplicate_candidates(self, capsys):
+        # without merging, 20 elements and k = 5 give 1,860,480 candidates
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "solve", "--k", "5", "--algo", "naive",
+                           "61803398874989484820")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "898874989484820\n"
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "solve", "--k", "1")

@@ -4,10 +4,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_sequences
+from conftest import MIXED_CHARS, all_sequences
 from dropk.core import drops, lex_le, max_lex, sequences
 
 token_tuples = st.lists(st.integers(0, 4), max_size=8).map(tuple)
+
+
+def loop_lex_le(a, b):
+    """Reference order, written out with only ``<`` on elements: the
+    empty sequence is below everything, a strictly smaller head decides,
+    equal heads defer to the tails."""
+    for x, y in zip(a, b):
+        if x < y:
+            return True
+        if y < x:
+            return False
+    return len(a) <= len(b)
+
+
+def assert_orders_agree(pairs):
+    for a, b in pairs:
+        for kind in (str, tuple):
+            u, v = kind(a), kind(b)
+            assert lex_le(u, v) == loop_lex_le(u, v), (u, v)
 
 
 class TestLexLe:
@@ -56,6 +75,33 @@ class TestLexLe:
     def test_total_order_random(self, a, b):
         assert lex_le(a, b) or lex_le(b, a)
         assert (lex_le(a, b) and lex_le(b, a)) == (a == b)
+
+
+class TestAgreesWithTheLoop:
+    def test_equal_lengths_up_to_six(self):
+        # the exchange game compares results of length at most 6
+        for n in range(7):
+            same_length = list(all_sequences("123", n, n))
+            assert_orders_agree(product(same_length, repeat=2))
+
+    def test_all_lengths_up_to_four(self):
+        assert_orders_agree(product(all_sequences("123", 4), repeat=2))
+
+    def test_beyond_latin1(self):
+        assert_orders_agree(product(all_sequences("a\u00e9\U0001f600\ud800", 4), repeat=2))
+
+    @given(
+        st.text(alphabet=st.sampled_from(MIXED_CHARS), max_size=8),
+        st.text(alphabet=st.sampled_from(MIXED_CHARS), max_size=8),
+        st.sampled_from((str, tuple, list)),
+    )
+    def test_mixed_characters_random(self, a, b, kind):
+        u, v = kind(a), kind(b)
+        assert lex_le(u, v) == loop_lex_le(u, v)
+
+    def test_different_kinds_raise(self):
+        with pytest.raises(TypeError):
+            lex_le("12", ("1", "2"))
 
 
 class TestMaxLex:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_sequences
+from conftest import MIXED_CHARS, all_sequences
 from dropk.greedy import gstep, solve_greedy
 from dropk.linear import count_steps, gsolve, scan_events, solve_linear
 from dropk.oracle import solve_naive, solve_naive_all_k
@@ -106,11 +106,6 @@ class TestSolveLinear:
     def test_agrees_with_greedy_random(self, xs, data):
         k = data.draw(st.integers(0, len(xs)))
         assert solve_linear(k, xs) == solve_greedy(k, xs)
-
-
-# ASCII, Latin-1, BMP, astral and lone surrogate characters, drawn often
-# enough to repeat (st.characters() never draws a surrogate)
-MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600\ud800\udcff\udfff"
 
 
 @given(

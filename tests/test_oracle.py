@@ -100,3 +100,13 @@ class TestSolveNaiveAllK:
 
     def test_empty_input(self):
         assert solve_naive_all_k("") == [""]
+
+    def test_dedupe_keeps_lists(self):
+        for xs in all_sequences("abc", 5):
+            xs = list(xs)
+            everything = solve_naive_all_k(xs, dedupe=True)
+            assert everything == solve_naive_all_k(xs)
+            assert all(type(best) is list for best in everything)
+            for k, expected in enumerate(everything):
+                best = solve_naive(k, xs, dedupe=True)
+                assert type(best) is list and best == expected
