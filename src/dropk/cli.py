@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import greedy, greedy_condition, linear, oracle, verify
@@ -25,7 +24,7 @@ GAME_MAX_LEN = 7
 AUX_MAX_LEN = 6
 
 ENGINES = {
-    "naive": partial(oracle.solve_naive, dedupe=True),
+    "naive": oracle.solve_naive,
     "greedy": greedy.solve_greedy,
     "linear": linear.solve_linear,
 }

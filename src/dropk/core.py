@@ -59,9 +59,12 @@ def sequences(alphabet, max_len: int, min_len: int = 0) -> Iterator:
     ``min_len <= length <= max_len``, shorter first, in sorted order
     within a length.
 
-    A string alphabet yields strings, any other yields tuples.
+    A string alphabet yields strings, any other yields tuples.  An empty
+    alphabet raises ``ValueError``: a sweep over it would check nothing.
     """
     tokens = sorted(set(alphabet))
+    if not tokens:
+        raise ValueError("alphabet must be nonempty")
     as_str = isinstance(alphabet, str)
     for n in range(min_len, max_len + 1):
         for raw in product(tokens, repeat=n):

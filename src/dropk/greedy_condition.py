@@ -14,10 +14,9 @@ the opponent's deletion count and gives a result no smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import not_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import lex_le, rebuild, sequences
 from .greedy import hill_foot
@@ -26,8 +25,7 @@ KEEP = False
 DEL = True
 
 
-@dataclass(frozen=True)
-class DelPlan:
+class DelPlan(NamedTuple):
     """Per-position deletion instructions for sequences of one length.
 
     ``actions[i]`` is :data:`DEL` when position ``i`` is to be removed.
@@ -62,8 +60,7 @@ class DelPlan:
         return "".join("d" if a else "k" for a in self.actions)
 
 
-@dataclass(frozen=True)
-class FootWitness:
+class FootWitness(NamedTuple):
     """Checked claim that position ``index`` is the hill foot of a
     sequence of length ``target_length``."""
 
@@ -200,15 +197,12 @@ def enumerate_plans(k: int, n: int) -> list[DelPlan]:
     return [DelPlan.deleting(n, marks) for marks in combinations(range(n), k)]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Tally of an exhaustive sweep: the cases checked, the violations
     found and the first counterexample.  ``maxima_checks`` counts the
     exchange game's extra comparisons of best plans; other sweeps have
     none."""
 
-    max_len: int
-    alphabet: tuple
     cases: int
     maxima_checks: int
     violations: int
@@ -234,9 +228,6 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tokens = tuple(sorted(set(alphabet)))
-    if not tokens:
-        raise ValueError("alphabet must be nonempty")
 
     cases = maxima_checks = violations = 0
     first: str | None = None
@@ -265,4 +256,4 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
                         first = (f"xs={xs!r} d={d} best={best_any!r} "
                                  f"foot-deleting best={best_foot!r}")
 
-    return VerifyReport(max_len, tokens, cases, maxima_checks, violations, first)
+    return VerifyReport(cases, maxima_checks, violations, first)

@@ -29,8 +29,7 @@ pass checks the invariant every step relied on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .core import S, check_deletion_count, rebuild
 
@@ -151,8 +150,7 @@ def count_steps(k: int, xs: S) -> int:
     return consumed + (k - k_left) + 1
 
 
-@dataclass(frozen=True)
-class ScanEvent:
+class ScanEvent(NamedTuple):
     """State right before one scan step and the action it took.
 
     ``index`` is the position of the next input element and ``depth``

@@ -1,9 +1,12 @@
 """Exhaustive search: the obviously correct, exponential reference solver.
 
-``solve_naive`` enumerates every order of deleting ``k`` elements and
-takes the lexicographic maximum.  It exists to be trusted, not to be
-fast; the other engines are checked against it.  Both solvers read
-the candidates round by round from one generator, ``_frontiers``.
+``solve_naive`` deletes one element at a time, in every possible way,
+``k`` rounds over, and takes the lexicographic maximum.  By default it
+merges duplicate candidates between rounds, so round j holds at most
+C(n, j) of them; ``dedupe=False`` keeps the whole multiset of deletion
+orders, the paper's reference definition.  It exists to be trusted, not
+to be fast; the other engines are checked against it.  Both solvers
+read the candidates round by round from one generator, ``_frontiers``.
 """
 
 from __future__ import annotations
@@ -37,31 +40,32 @@ def _frontiers(xs: S, rounds: int, dedupe: bool) -> Iterator[Sequence[S] | set[S
         yield frontier
 
 
-def solve_naive(k: int, xs: S, *, dedupe: bool = False) -> S:
+def solve_naive(k: int, xs: S, *, dedupe: bool = True) -> S:
     """Largest sequence reachable from ``xs`` by deleting exactly ``k``
     elements, found by full enumeration.
 
-    The candidate multiset after ``k`` rounds has n*(n-1)*...*(n-k+1)
-    entries, so this is O(n^k): keep it on desk-sized inputs.  With
-    ``dedupe=True`` duplicate candidates are merged between rounds, which
-    cannot change the maximum but keeps verification sweeps affordable.
+    Duplicate candidates are merged between rounds, which cannot change
+    the maximum: round j holds at most C(n, j) distinct subsequences, so
+    this is still exponential and meant for desk-sized inputs.  With
+    ``dedupe=False`` every deletion order is kept, n*(n-1)*...*(n-k+1)
+    candidates after ``k`` rounds: 27.9M for k = 6 on 20 elements.
     """
     check_deletion_count(k, xs)
     if dedupe and isinstance(xs, list):
         # lists are unhashable: merge duplicates as tuples, hand back a list
-        return list(solve_naive(k, tuple(xs), dedupe=True))
+        return list(solve_naive(k, tuple(xs)))
     frontier = [xs]
     for frontier in _frontiers(xs, k, dedupe):
         pass
     return max_lex(frontier)
 
 
-def solve_naive_all_k(xs: S, *, dedupe: bool = False) -> list[S]:
+def solve_naive_all_k(xs: S, *, dedupe: bool = True) -> list[S]:
     """``[solve_naive(k, xs) for k in range(len(xs) + 1)]`` in one cascade.
 
     Verification sweeps need the answer for every deletion count; sharing
     the candidate frontier across counts avoids re-enumerating it.
     """
     if dedupe and isinstance(xs, list):
-        return [list(best) for best in solve_naive_all_k(tuple(xs), dedupe=True)]
+        return [list(best) for best in solve_naive_all_k(tuple(xs))]
     return [xs] + [max_lex(frontier) for frontier in _frontiers(xs, len(xs), dedupe)]

@@ -22,7 +22,7 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
     cases = mismatches = 0
     first: str | None = None
     for xs in sequences(alphabet, max_len):
-        expected = solve_naive_all_k(xs, dedupe=True)
+        expected = solve_naive_all_k(xs)
         for k in range(len(xs) + 1):
             cases += 1
             got_greedy = solve_greedy(k, xs)
@@ -34,13 +34,13 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
                         f"xs={xs!r} k={k}: naive={expected[k]!r} "
                         f"greedy={got_greedy!r} linear={got_linear!r}"
                     )
-    return VerifyReport(max_len, tuple(sorted(set(alphabet))), cases, 0, mismatches, first)
+    return VerifyReport(cases, 0, mismatches, first)
 
 
 def mono_aux_sweep(max_len: int, alphabet) -> VerifyReport:
     """Exhaust the prefix-dominance helper :func:`check_mono_aux` over
     every tail up to ``max_len`` and every ``x`` at least its head."""
-    tokens = tuple(sorted(set(alphabet)))
+    tokens = sorted(set(alphabet))
     cases = violations = 0
     first: str | None = None
     for tail in sequences(alphabet, max_len, 1):
@@ -53,4 +53,4 @@ def mono_aux_sweep(max_len: int, alphabet) -> VerifyReport:
                 violations += 1
                 if first is None:
                     first = f"x={x!r} tail={tail!r}"
-    return VerifyReport(max_len, tokens, cases, 0, violations, first)
+    return VerifyReport(cases, 0, violations, first)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,20 @@ class TestVerify:
         assert "counterexample confirmed" in out
         assert "all checks passed" in out
 
+    def test_golden_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-len", "4", "--alphabet", "123")
+        assert code == 0
+        assert out == "\n".join([
+            "engine equivalence up to length 4: 547 cases, 0 mismatches",
+            "exchange game up to length 4:",
+            "cases: 1434",
+            "violations: 0",
+            "better-global principle: counterexample confirmed "
+            "('934' from '1934' beats best single drop '434' of '4234')",
+            "prefix-dominance sweep up to tail length 4: 240 cases, 0 violations",
+            "result: all checks passed",
+        ]) + "\n"
+
     def test_single_letter_alphabet(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-len", "1", "--alphabet", "a")
         assert code == 0 and "violations: 0" in out
@@ -214,3 +232,14 @@ class TestTrace:
         for given in (["19"], ["--file", str(source)]):
             code, out, err = run(capsys, "trace", "--k", "3", *given)
             assert code == 2 and out == "" and "cannot drop more" in err
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are plain tuples: importing the CLI must not pull in
+    # dataclasses (and with it inspect, ast and dis)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, dropk.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

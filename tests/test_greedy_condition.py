@@ -312,7 +312,7 @@ class TestVerifyGreedyCondition:
     def test_summary_shows_counterexample_when_present(self):
         from dropk.greedy_condition import VerifyReport
 
-        report = VerifyReport(1, ("a",), 1, 1, 1, "xs='a' plan=d altered=d")
+        report = VerifyReport(1, 1, 1, "xs='a' plan=d altered=d")
         assert "first counterexample: xs='a' plan=d altered=d" in report.summary()
 
     def test_guards(self):
