@@ -6,16 +6,21 @@ it deletes the hill foot while producing a result at least as large.
 This module makes that argument executable.  Plans are per-position
 keep/delete instructions and ``alter`` is the rewriting strategy.  One
 unchecked ``_round`` plays a round; ``check_mono`` and ``check_unfoot``
-validate once and ask it, and ``verify_greedy_condition`` plays every
-round up to a given length through it, reporting any violation instead
-of raising.  A round is won when the rewrite deletes the foot, keeps
-the opponent's deletion count and gives a result no smaller.
+validate once and ask it.  A round is won when the rewrite deletes the
+foot, keeps the opponent's deletion count and gives a result no smaller.
+
+``verify_greedy_condition`` plays every round up to a given length and
+reports any violation instead of raising.  The rewrite depends only on
+the plan and the foot index, so for each length it builds one table,
+at call time, of every plan's rewrite under every foot, with getters
+for the positions each side keeps; every sequence is then played from
+its foot's rows, with no rewriting in the loop.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import not_
+from operator import itemgetter, lt, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import lex_le, rebuild, sequences
@@ -225,35 +230,101 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     plan; those maxima come straight from the opponents' results, so a
     wrong rewrite cannot hide a broken claim.  Violations are collected
     as data, never raised.
+
+    A rewrite depends only on the plan and the foot, never on the
+    sequence, so each length is played from a table built once, at call
+    time, through ``_alter``: per foot and per d, every plan's rewrite
+    and a getter for the positions each side keeps.  A sequence then
+    plays its foot's rows with two getter calls per round and the
+    built-in ``<``.  A rewrite that is not a plan of d deletions over
+    the same length, or that keeps the foot, gets no getter: it loses on
+    every sequence.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
     cases = maxima_checks = violations = 0
     first: str | None = None
-
     for n in range(1, max_len + 1):
-        actions_by_count = [[p.actions for p in enumerate_plans(d, n)] for d in range(n + 1)]
-        for xs in sequences(alphabet, n, n):
-            foot = foot_witness(xs).index
-            for d in range(1, n + 1):
-                best_any = best_foot = None
-                for actions in actions_by_count[d]:
-                    adversary, altered, ours = _round(xs, actions, foot)
-                    cases += 1
-                    if not (lex_le(adversary, ours) and altered[foot] and sum(altered) == d):
-                        violations += 1
-                        if first is None:
-                            first = f"xs={xs!r} plan={DelPlan(actions)} altered={DelPlan(altered)}"
-                    if best_any is None or not lex_le(adversary, best_any):
-                        best_any = adversary
-                    if actions[foot] and (best_foot is None or not lex_le(adversary, best_foot)):
-                        best_foot = adversary
-                maxima_checks += 1
-                if not lex_le(best_any, best_foot):
-                    violations += 1
-                    if first is None:
-                        first = (f"xs={xs!r} d={d} best={best_any!r} "
-                                 f"foot-deleting best={best_foot!r}")
-
+        length_cases, length_maxima, length_violations, length_first = _play_length(n, alphabet)
+        cases += length_cases
+        maxima_checks += length_maxima
+        violations += length_violations
+        if first is None:
+            first = length_first
     return VerifyReport(cases, maxima_checks, violations, first)
+
+
+def _getter(kept: tuple[int, ...]):
+    """``xs -> tuple(xs[i] for i in kept)``.  ``itemgetter`` alone
+    returns a bare element for one index and cannot take none."""
+    if len(kept) > 1:
+        return itemgetter(*kept)
+    if kept:
+        (i,) = kept
+        return lambda xs: (xs[i],)
+    return lambda xs: ()
+
+
+def _game_table(n: int) -> list:
+    """Every round over length ``n`` with the sequence left out.
+
+    ``table[foot][d - 1]`` holds, for the d-deletion plans in order: the
+    plans, the getters of what they keep, their rewrites, which
+    rewrites are sound (one of the d-deletion plans, deleting the foot),
+    the getters of what the sound ones keep, and which plans delete the
+    foot themselves.  A plan and every rewrite equal to it share one
+    getter, and the opponents' getters are shared across feet.
+    """
+    plans = [tuple(p.actions for p in enumerate_plans(d, n)) for d in range(1, n + 1)]
+    getters = {
+        actions: _getter(tuple(compress(range(n), map(not_, actions))))
+        for group in plans
+        for actions in group
+    }
+    opponents = [[getters[actions] for actions in group] for group in plans]
+    table = []
+    for foot in range(n):
+        rows = []
+        for d, (group, opp_get) in enumerate(zip(plans, opponents), 1):
+            altered = tuple(_alter(actions, foot) for actions in group)
+            sound = bytes(a in getters and bool(a[foot]) and sum(a) == d for a in altered)
+            ours_get = tuple(getters[a] for a, ok in zip(altered, sound) if ok)
+            deletes_foot = bytes(actions[foot] for actions in group)
+            rows.append((group, opp_get, altered, sound, ours_get, deletes_foot))
+        table.append(rows)
+    return table
+
+
+def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
+    """Cases, maxima checks, violations and the first counterexample of
+    every round over sequences of length ``n``; the table lives only
+    for this call."""
+    table = _game_table(n)
+    cases = maxima_checks = violations = 0
+    first: str | None = None
+    for xs in sequences(alphabet, n, n):
+        for d, (group, opp_get, altered, sound, ours_get, deletes_foot) in enumerate(
+            table[foot_witness(xs).index], 1
+        ):
+            adversary = [get(xs) for get in opp_get]
+            ours = [get(xs) for get in ours_get]
+            cases += len(adversary)
+            lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
+            if lost:
+                violations += lost
+                if first is None:
+                    # the first row that is unsound or loses on value
+                    ours_iter = iter(ours)
+                    i = next(i for i, ok in enumerate(sound)
+                             if not ok or next(ours_iter) < adversary[i])
+                    first = f"xs={xs!r} plan={DelPlan(group[i])} altered={DelPlan(altered[i])}"
+            best_any = max(adversary)
+            best_foot = max(compress(adversary, deletes_foot))
+            maxima_checks += 1
+            if best_foot < best_any:
+                violations += 1
+                if first is None:
+                    first = (f"xs={xs!r} d={d} best={rebuild(xs, best_any)!r} "
+                             f"foot-deleting best={rebuild(xs, best_foot)!r}")
+    return cases, maxima_checks, violations, first

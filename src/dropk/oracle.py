@@ -30,7 +30,14 @@ def step(xss: Sequence[S]) -> list[S]:
 
 def _frontiers(xs: S, rounds: int, dedupe: bool) -> Iterator[Sequence[S] | set[S]]:
     """The candidates after each of ``rounds`` deletion rounds, starting
-    from ``xs``: a list with duplicates, or a set without them."""
+    from ``xs``: a list with duplicates, or a set without them.  A set
+    needs hashable candidates, so ``xs`` that cannot be hashed keeps its
+    duplicates."""
+    if dedupe:
+        try:
+            hash(xs)
+        except TypeError:
+            dedupe = False
     frontier: Sequence[S] | set[S] = [xs]
     for _ in range(rounds):
         if dedupe:
@@ -49,6 +56,8 @@ def solve_naive(k: int, xs: S, *, dedupe: bool = True) -> S:
     this is still exponential and meant for desk-sized inputs.  With
     ``dedupe=False`` every deletion order is kept, n*(n-1)*...*(n-k+1)
     candidates after ``k`` rounds: 27.9M for k = 6 on 20 elements.
+    Elements that cannot be hashed, such as lists, cannot be merged
+    either, so such inputs always keep every deletion order.
     """
     check_deletion_count(k, xs)
     if dedupe and isinstance(xs, list):

@@ -3,9 +3,10 @@
 Each test prints one pass/fail line (visible with ``pytest -s`` or in the
 captured output of a failing run) and asserts the criterion exactly; no
 tolerance is loosened here.  The sweeps are exhaustive over a 3-token
-alphabet at the lengths given per criterion, and c2 and c5 run the same
-sweeps as ``dropk verify``.  This module takes about 20 s on Python
-3.11 (c2 is most of it).
+alphabet at the lengths given per criterion (c3b: 4 tokens), and c2 and
+c5 run the same sweeps as ``dropk verify``.  This module takes about
+17 s on Python 3.11; c2 is most of it, and c3 and c3b take under half
+a second each.
 """
 
 import random
@@ -69,6 +70,23 @@ def test_c3_exchange_game_three_tokens_up_to_seven():
     )
     _verdict(
         "3 exchange game |xs|<=7",
+        ok,
+        f"{report.cases} plan cases + {report.maxima_checks} maxima checks, "
+        f"{report.violations} violations",
+    )
+
+
+def test_c3b_exchange_game_four_tokens_up_to_six():
+    report = verify_greedy_condition(6, "1234")
+    planned_cases = sum(4**n * (2**n - 1) for n in range(1, 7))
+    planned_maxima = sum(4**n * n for n in range(1, 7))
+    ok = (
+        report.violations == 0
+        and report.cases == planned_cases
+        and report.maxima_checks == planned_maxima
+    )
+    _verdict(
+        "3b exchange game over 4 tokens |xs|<=6",
         ok,
         f"{report.cases} plan cases + {report.maxima_checks} maxima checks, "
         f"{report.violations} violations",

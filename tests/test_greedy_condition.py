@@ -3,14 +3,19 @@ import time
 
 import pytest
 
+import dropk.greedy_condition
 from conftest import all_sequences
-from dropk.core import lex_le
+from dropk.core import lex_le, sequences
 from dropk.greedy import gstep
 from dropk.greedy_condition import (
     DEL,
     KEEP,
     DelPlan,
     FootWitness,
+    VerifyReport,
+    _game_table,
+    _getter,
+    _round,
     alter,
     apply_plan,
     check_mono,
@@ -52,6 +57,56 @@ def alter_recursive(actions, foot):
     if sum(actions[1:]) == 0:
         return (KEEP,) + tuple(j == foot - 1 for j in range(len(actions) - 1))
     return (DEL,) + alter_recursive(actions[1:], foot - 1)
+
+
+def loop_verify_greedy_condition(max_len, alphabet):
+    """The per-round loop that the table game replaced, kept as its
+    oracle.  It plays each round through ``_round``, which looks
+    ``_alter`` up at call time, so it sees a patched rewrite too."""
+    cases = maxima_checks = violations = 0
+    first = None
+    for n in range(1, max_len + 1):
+        actions_by_count = [[p.actions for p in enumerate_plans(d, n)] for d in range(n + 1)]
+        for xs in sequences(alphabet, n, n):
+            foot = dropk.greedy_condition.foot_witness(xs).index
+            for d in range(1, n + 1):
+                best_any = best_foot = None
+                for actions in actions_by_count[d]:
+                    adversary, altered, ours = _round(xs, actions, foot)
+                    cases += 1
+                    if not (lex_le(adversary, ours) and altered[foot] and sum(altered) == d):
+                        violations += 1
+                        if first is None:
+                            first = f"xs={xs!r} plan={DelPlan(actions)} altered={DelPlan(altered)}"
+                    if best_any is None or not lex_le(adversary, best_any):
+                        best_any = adversary
+                    if actions[foot] and (best_foot is None or not lex_le(adversary, best_foot)):
+                        best_foot = adversary
+                maxima_checks += 1
+                if not lex_le(best_any, best_foot):
+                    violations += 1
+                    if first is None:
+                        first = (f"xs={xs!r} d={d} best={best_any!r} "
+                                 f"foot-deleting best={best_foot!r}")
+    return VerifyReport(cases, maxima_checks, violations, first)
+
+
+def identity_rewrite(real):
+    """Never touches the plan, so a kept foot stays kept."""
+    return lambda actions, foot: actions
+
+
+def lossy_rewrite(real):
+    """The real rewrite with its first deletion off the foot turned into
+    a keep: it deletes the foot and never loses on value, but drops a
+    deletion."""
+    def lossy(actions, foot):
+        out = list(real(actions, foot))
+        lost = next((i for i, a in enumerate(out) if a and i != foot), None)
+        if lost is not None:
+            out[lost] = KEEP
+        return tuple(out)
+    return lossy
 
 
 class TestDelPlan:
@@ -314,6 +369,51 @@ class TestVerifyGreedyCondition:
 
         report = VerifyReport(1, 1, 1, "xs='a' plan=d altered=d")
         assert "first counterexample: xs='a' plan=d altered=d" in report.summary()
+
+    @pytest.mark.parametrize("rewrite", [None, identity_rewrite, lossy_rewrite],
+                             ids=["real", "identity", "lossy"])
+    @pytest.mark.parametrize("alphabet, max_len", [
+        ("123", 5), ("1234", 5), ((3, 1, 2), 4), ([2, 1], 4),
+    ])
+    def test_table_matches_round_loop(self, monkeypatch, rewrite, alphabet, max_len):
+        if rewrite is not None:
+            real = dropk.greedy_condition._alter
+            monkeypatch.setattr(dropk.greedy_condition, "_alter", rewrite(real))
+        got = verify_greedy_condition(max_len, alphabet)
+        assert got == loop_verify_greedy_condition(max_len, alphabet)
+        assert (got.violations == 0) == (rewrite is None)
+
+    @pytest.mark.parametrize("alphabet", ["123", (3, 1, 2)])
+    def test_table_matches_round_loop_on_a_wrong_foot(self, monkeypatch, alphabet):
+        # claiming position 0 as the foot fails maxima checks too, which
+        # no rewrite can do
+        monkeypatch.setattr(dropk.greedy_condition, "foot_witness",
+                            lambda xs: FootWitness(0, len(xs)))
+        got = verify_greedy_condition(4, alphabet)
+        assert got == loop_verify_greedy_condition(4, alphabet)
+        assert got.violations > 0
+
+    def test_getter_returns_tuples(self):
+        # itemgetter returns a bare element for one index and takes no zero
+        assert _getter(())("ab") == ()
+        assert _getter((1,))("ab") == ("b",)
+        assert _getter((0,))((7,)) == (7,)
+        assert _getter((0, 2))("abc") == ("a", "c")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_rows_keep_zero_or_one(self, n):
+        # d = n keeps nothing and d = n - 1 keeps one position
+        xs = "ba"[:n]
+        table = _game_table(n)
+        for foot, rows in enumerate(table):
+            for d in range(max(n - 1, 1), n + 1):
+                group, opp_get, altered, sound, ours_get, _ = rows[d - 1]
+                assert all(sound)
+                for actions, get in zip(group, opp_get):
+                    assert get(xs) == tuple(apply_plan(xs, DelPlan(actions)))
+                for actions, get in zip(altered, ours_get):
+                    assert get(xs) == tuple(apply_plan(xs, DelPlan(actions)))
+                    assert len(get(xs)) == n - d
 
     def test_guards(self):
         with pytest.raises(ValueError):

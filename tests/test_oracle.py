@@ -118,3 +118,13 @@ class TestSolveNaiveAllK:
             for k, expected in enumerate(everything):
                 best = solve_naive(k, xs, dedupe=True)
                 assert type(best) is list and best == expected
+
+    def test_unhashable_elements(self):
+        # elements need only be ordered by <: lists of lists and tuples of
+        # lists cannot be merged as set members, so they keep duplicates
+        for xs in (([1], [3], [2]), [[1], [3], [2]]):
+            assert solve_naive(1, xs) == xs[1:]
+            everything = solve_naive_all_k(xs)
+            assert everything == solve_naive_all_k(xs, dedupe=False)
+            assert everything == [xs, xs[1:], xs[1:2], xs[:0]]
+            assert all(type(best) is type(xs) for best in everything)
