@@ -13,9 +13,9 @@ from pathlib import Path
 from . import greedy, greedy_condition, linear, oracle, verify
 from .core import drops, max_lex
 
-# The exhaustive engine merges duplicate candidates between rounds, so
-# round j holds at most C(n, j) distinct ones: C(20, 6) = 38,760 at these
-# bounds.  It is a test instrument, not a fast path.
+# The exhaustive engine builds one tuple per set of kept positions, C(n, k)
+# of them: C(20, 6) = 38,760 at these bounds.  It is a test instrument,
+# not a fast path.
 NAIVE_MAX_LEN = 20
 NAIVE_MAX_K = 6
 

@@ -304,9 +304,8 @@ def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
     cases = maxima_checks = violations = 0
     first: str | None = None
     for xs in sequences(alphabet, n, n):
-        for d, (group, opp_get, altered, sound, ours_get, deletes_foot) in enumerate(
-            table[foot_witness(xs).index], 1
-        ):
+        rows = table[foot_witness(xs).index]
+        for group, opp_get, altered, sound, ours_get, deletes_foot in rows:
             adversary = [get(xs) for get in opp_get]
             ours = [get(xs) for get in ours_get]
             cases += len(adversary)
@@ -323,8 +322,7 @@ def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
             best_foot = max(compress(adversary, deletes_foot))
             maxima_checks += 1
             if best_foot < best_any:
+                # no message: a plan reaching best_any keeps the foot, so its
+                # rewrite, unsound or at most best_foot, already lost above
                 violations += 1
-                if first is None:
-                    first = (f"xs={xs!r} d={d} best={rebuild(xs, best_any)!r} "
-                             f"foot-deleting best={rebuild(xs, best_foot)!r}")
     return cases, maxima_checks, violations, first

@@ -1,19 +1,21 @@
 """Exhaustive search: the obviously correct, exponential reference solver.
 
-``solve_naive`` deletes one element at a time, in every possible way,
-``k`` rounds over, and takes the lexicographic maximum.  By default it
-merges duplicate candidates between rounds, so round j holds at most
-C(n, j) of them; ``dedupe=False`` keeps the whole multiset of deletion
-orders, the paper's reference definition.  It exists to be trusted, not
-to be fast; the other engines are checked against it.  Both solvers
-read the candidates round by round from one generator, ``_frontiers``.
+Deleting ``k`` elements is keeping the other n - k in order, so
+``solve_naive`` takes the lexicographic maximum over every choice of
+kept positions, C(n, k) candidates from ``itertools.combinations``, for
+any element kind.  ``dedupe=False`` instead deletes one element at a
+time in every possible way, ``k`` rounds over with :func:`step`, and
+keeps the whole multiset of deletion orders: the paper's reference
+definition.  It exists to be trusted, not to be fast; the other engines
+are checked against it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
-from .core import S, check_deletion_count, drops, max_lex
+from .core import S, check_deletion_count, drops, max_lex, rebuild
 
 
 def step(xss: Sequence[S]) -> list[S]:
@@ -28,53 +30,36 @@ def step(xss: Sequence[S]) -> list[S]:
     return out
 
 
-def _frontiers(xs: S, rounds: int, dedupe: bool) -> Iterator[Sequence[S] | set[S]]:
-    """The candidates after each of ``rounds`` deletion rounds, starting
-    from ``xs``: a list with duplicates, or a set without them.  A set
-    needs hashable candidates, so ``xs`` that cannot be hashed keeps its
-    duplicates."""
-    if dedupe:
-        try:
-            hash(xs)
-        except TypeError:
-            dedupe = False
-    frontier: Sequence[S] | set[S] = [xs]
-    for _ in range(rounds):
-        if dedupe:
-            frontier = {c[:i] + c[i + 1 :] for c in frontier for i in range(len(c))}
-        else:
-            frontier = step(frontier)
-        yield frontier
-
-
 def solve_naive(k: int, xs: S, *, dedupe: bool = True) -> S:
     """Largest sequence reachable from ``xs`` by deleting exactly ``k``
     elements, found by full enumeration.
 
-    Duplicate candidates are merged between rounds, which cannot change
-    the maximum: round j holds at most C(n, j) distinct subsequences, so
-    this is still exponential and meant for desk-sized inputs.  With
-    ``dedupe=False`` every deletion order is kept, n*(n-1)*...*(n-k+1)
-    candidates after ``k`` rounds: 27.9M for k = 6 on 20 elements.
-    Elements that cannot be hashed, such as lists, cannot be merged
-    either, so such inputs always keep every deletion order.
+    Each set of deleted positions gives one candidate, a tuple of the
+    kept elements, which compares as the sequence it rebuilds: C(n, k)
+    of them, so this is still exponential and meant for desk-sized
+    inputs.  With ``dedupe=False`` every deletion order is kept,
+    n*(n-1)*...*(n-k+1) candidates: 27.9M for k = 6 on 20 elements.
     """
     check_deletion_count(k, xs)
-    if dedupe and isinstance(xs, list):
-        # lists are unhashable: merge duplicates as tuples, hand back a list
-        return list(solve_naive(k, tuple(xs)))
+    if dedupe:
+        return rebuild(xs, max_lex(combinations(xs, len(xs) - k)))
     frontier = [xs]
-    for frontier in _frontiers(xs, k, dedupe):
-        pass
+    for _ in range(k):
+        frontier = step(frontier)
     return max_lex(frontier)
 
 
 def solve_naive_all_k(xs: S, *, dedupe: bool = True) -> list[S]:
-    """``[solve_naive(k, xs) for k in range(len(xs) + 1)]`` in one cascade.
+    """``[solve_naive(k, xs) for k in range(len(xs) + 1)]``.
 
-    Verification sweeps need the answer for every deletion count; sharing
-    the candidate frontier across counts avoids re-enumerating it.
+    With ``dedupe=False`` one cascade of :func:`step` rounds serves every
+    deletion count, so the multiset is enumerated once.
     """
-    if dedupe and isinstance(xs, list):
-        return [list(best) for best in solve_naive_all_k(tuple(xs))]
-    return [xs] + [max_lex(frontier) for frontier in _frontiers(xs, len(xs), dedupe)]
+    if dedupe:
+        kept = range(len(xs) - 1, -1, -1)
+        return [xs] + [rebuild(xs, max_lex(combinations(xs, m))) for m in kept]
+    best, frontier = [xs], [xs]
+    for _ in range(len(xs)):
+        frontier = step(frontier)
+        best.append(max_lex(frontier))
+    return best
