@@ -13,8 +13,9 @@ foot, keeps the opponent's deletion count and gives a result no smaller.
 reports any violation instead of raising.  The rewrite depends only on
 the plan and the foot index, so for each length it builds one table,
 at call time, of every plan's rewrite under every foot, with getters
-for the positions each side keeps; every sequence is then played from
-its foot's rows, with no rewriting in the loop.
+for the positions each plan keeps and, per row, the places of the sound
+rewrites among the plans; every sequence is then played from its foot's
+rows, with no rewriting in the loop and each result built once.
 """
 
 from __future__ import annotations
@@ -233,12 +234,14 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
 
     A rewrite depends only on the plan and the foot, never on the
     sequence, so each length is played from a table built once, at call
-    time, through ``_alter``: per foot and per d, every plan's rewrite
-    and a getter for the positions each side keeps.  A sequence then
-    plays its foot's rows with two getter calls per round and the
-    built-in ``<``.  A rewrite that is not a plan of d deletions over
-    the same length, or that keeps the foot, gets no getter: it loses on
-    every sequence.
+    time, through ``_alter``: per foot and per d, every plan's rewrite.
+    A sound rewrite is itself one of the d-deletion plans, so its result
+    is already among the opponents' results.  A sequence then plays its
+    foot's rows with one getter call per plan, one pick per row that
+    takes the sound rewrites' results out of the opponents' results, and
+    the built-in ``<``.  A rewrite that is not a plan of d deletions
+    over the same length, or that keeps the foot, is left out of the
+    pick: it loses on every sequence.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -272,24 +275,23 @@ def _game_table(n: int) -> list:
     ``table[foot][d - 1]`` holds, for the d-deletion plans in order: the
     plans, the getters of what they keep, their rewrites, which
     rewrites are sound (one of the d-deletion plans, deleting the foot),
-    the getters of what the sound ones keep, and which plans delete the
-    foot themselves.  A plan and every rewrite equal to it share one
-    getter, and the opponents' getters are shared across feet.
+    one getter that picks the sound rewrites' results out of the list of
+    the opponents' results, and which plans delete the foot themselves.
+    The opponents' getters are shared across feet.
     """
     plans = [tuple(p.actions for p in enumerate_plans(d, n)) for d in range(1, n + 1)]
-    getters = {
-        actions: _getter(tuple(compress(range(n), map(not_, actions))))
+    opponents = [
+        [_getter(tuple(compress(range(n), map(not_, actions)))) for actions in group]
         for group in plans
-        for actions in group
-    }
-    opponents = [[getters[actions] for actions in group] for group in plans]
+    ]
+    indices = [{actions: i for i, actions in enumerate(group)} for group in plans]
     table = []
     for foot in range(n):
         rows = []
-        for d, (group, opp_get) in enumerate(zip(plans, opponents), 1):
+        for group, opp_get, index in zip(plans, opponents, indices):
             altered = tuple(_alter(actions, foot) for actions in group)
-            sound = bytes(a in getters and bool(a[foot]) and sum(a) == d for a in altered)
-            ours_get = tuple(getters[a] for a, ok in zip(altered, sound) if ok)
+            sound = bytes(a in index and bool(a[foot]) for a in altered)
+            ours_get = _getter(tuple(index[a] for a, ok in zip(altered, sound) if ok))
             deletes_foot = bytes(actions[foot] for actions in group)
             rows.append((group, opp_get, altered, sound, ours_get, deletes_foot))
         table.append(rows)
@@ -307,7 +309,7 @@ def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
         rows = table[foot_witness(xs).index]
         for group, opp_get, altered, sound, ours_get, deletes_foot in rows:
             adversary = [get(xs) for get in opp_get]
-            ours = [get(xs) for get in ours_get]
+            ours = ours_get(adversary)
             cases += len(adversary)
             lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
             if lost:

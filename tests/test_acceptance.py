@@ -5,8 +5,8 @@ captured output of a failing run) and asserts the criterion exactly; no
 tolerance is loosened here.  The sweeps are exhaustive over a 3-token
 alphabet at the lengths given per criterion (c3b: 4 tokens), and c2 and
 c5 run the same sweeps as ``dropk verify``.  This module takes about
-7 s on Python 3.11; c2 (about 4 s) is most of it, and c3 and c3b take
-under half a second each.
+5-6 s on Python 3.11; c2 (about 3 s, mostly the naive oracle) is most
+of it, and c3 and c3b take about a quarter of a second each.
 """
 
 import random

@@ -154,6 +154,10 @@ class TestVerify:
     @pytest.mark.parametrize("module, name, broken, first", [
         # the linear engine keeps everything: the equivalence sweep disagrees
         (dropk.verify, "solve_linear", lambda k, xs: xs, "  first mismatch: "),
+        # so does the greedy engine, and so does the naive oracle
+        (dropk.verify, "solve_greedy", lambda k, xs: xs, "  first mismatch: "),
+        (dropk.verify, "solve_naive_all_k", lambda xs: [xs] * (len(xs) + 1),
+         "  first mismatch: "),
         # an identity rewrite never deletes a kept foot: the game loses rounds
         (dropk.greedy_condition, "_alter", lambda actions, foot: actions,
          "first counterexample: "),

@@ -400,20 +400,21 @@ class TestVerifyGreedyCondition:
         assert _getter((0,))((7,)) == (7,)
         assert _getter((0, 2))("abc") == ("a", "c")
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_short_rows_keep_zero_or_one(self, n):
-        # d = n keeps nothing and d = n - 1 keeps one position
-        xs = "ba"[:n]
+        # every row agrees with apply_plan, so d = n keeps nothing and
+        # d = n - 1 keeps one position; distinct elements make each
+        # result name its plan, so the pick must take the right ones
         table = _game_table(n)
-        for foot, rows in enumerate(table):
-            for d in range(max(n - 1, 1), n + 1):
-                group, opp_get, altered, sound, ours_get, _ = rows[d - 1]
-                assert all(sound)
-                for actions, get in zip(group, opp_get):
-                    assert get(xs) == tuple(apply_plan(xs, DelPlan(actions)))
-                for actions, get in zip(altered, ours_get):
-                    assert get(xs) == tuple(apply_plan(xs, DelPlan(actions)))
-                    assert len(get(xs)) == n - d
+        for xs in ("31415"[:n], tuple(range(n))):
+            for rows in table:
+                for d, (group, opp_get, altered, sound, ours_get, _) in enumerate(rows, 1):
+                    assert all(sound)
+                    adversary = [get(xs) for get in opp_get]
+                    assert adversary == [tuple(apply_plan(xs, DelPlan(a))) for a in group]
+                    ours = ours_get(adversary)
+                    assert list(ours) == [tuple(apply_plan(xs, DelPlan(a))) for a in altered]
+                    assert all(len(r) == n - d for r in (*adversary, *ours))
 
     def test_guards(self):
         with pytest.raises(ValueError):
