@@ -289,7 +289,9 @@ def _game_table(n: int) -> list:
     for foot in range(n):
         rows = []
         for group, opp_get, index in zip(plans, opponents, indices):
-            altered = tuple(_alter(actions, foot) for actions in group)
+            # a rewrite is judged by its positions, whatever sequence
+            # kind _alter hands back
+            altered = tuple(tuple(_alter(actions, foot)) for actions in group)
             sound = bytes(a in index and bool(a[foot]) for a in altered)
             ours_get = _getter(tuple(index[a] for a, ok in zip(altered, sound) if ok))
             deletes_foot = bytes(actions[foot] for actions in group)

@@ -1,19 +1,26 @@
-"""Exhaustive search: the obviously correct, exponential reference solver.
+"""Exhaustive search: the obviously correct reference solvers.
 
 Deleting ``k`` elements is keeping the other n - k in order, so
 ``solve_naive`` takes the lexicographic maximum over every choice of
 kept positions, C(n, k) candidates from ``itertools.combinations``, for
-any element kind.  ``dedupe=False`` instead deletes one element at a
-time in every possible way, ``k`` rounds over with :func:`step`, and
-keeps the whole multiset of deletion orders: the paper's reference
-definition.  It exists to be trusted, not to be fast; the other engines
-are checked against it.
+any element kind: exponential, meant for desk-sized inputs.
+``dedupe=False`` instead deletes one element at a time in every possible
+way, ``k`` rounds over with :func:`step`, and keeps the whole multiset
+of deletion orders: the paper's reference definition.
+
+Every deletion count at once comes from one fact about those kept sets:
+each one of ``xs + c`` either skips ``c`` or ends with it, and appending
+``c`` to candidates of equal length keeps their order, so the best with
+m kept is ``max(best_m(xs), best_{m-1}(xs) + c)``.  :func:`each_all_k`
+grows every answer that way from its prefix's, which a stream of
+sequences in odometer order shares almost whole.  These solvers exist to
+be trusted, not to be fast; the other engines are checked against them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import S, check_deletion_count, drops, max_lex, rebuild
 
@@ -52,14 +59,53 @@ def solve_naive(k: int, xs: S, *, dedupe: bool = True) -> S:
 def solve_naive_all_k(xs: S, *, dedupe: bool = True) -> list[S]:
     """``[solve_naive(k, xs) for k in range(len(xs) + 1)]``.
 
-    With ``dedupe=False`` one cascade of :func:`step` rounds serves every
+    By default this is the one answer of ``each_all_k([xs])``: about
+    n^2/2 comparisons of candidates, each built by one concatenation,
+    where the kept sets alone number 2^n.  With
+    ``dedupe=False`` one cascade of :func:`step` rounds serves every
     deletion count, so the multiset is enumerated once.
     """
     if dedupe:
-        kept = range(len(xs) - 1, -1, -1)
-        return [xs] + [rebuild(xs, max_lex(combinations(xs, m))) for m in kept]
+        return next(each_all_k([xs]))[1]
     best, frontier = [xs], [xs]
     for _ in range(len(xs)):
         frontier = step(frontier)
         best.append(max_lex(frontier))
     return best
+
+
+def each_all_k(seqs: Iterable[S]) -> Iterator[tuple[S, list[S]]]:
+    """``(xs, solve_naive_all_k(xs))`` for every ``xs`` of ``seqs``, in
+    order, with the work on a shared prefix done once.
+
+    ``rows[d][m]`` is the best subsequence of m elements of the current
+    sequence's first d.  A new sequence keeps the rows of the prefix it
+    shares with the previous one, compared element by element with
+    ``==``, and extends them one element at a time by the recurrence in
+    the module docstring.  Sequences in any order, of str, tuple and
+    list kinds mixed, get the right answers; neighbours that share long
+    prefixes, as :func:`dropk.core.sequences` yields them, get them
+    fastest.  For list input an answer may share objects with later
+    answers, so mutating one can change another.
+    """
+    rows: list[list] = []
+    prev = None
+    for xs in seqs:
+        shared = 0
+        if type(xs) is type(prev):
+            limit = min(len(xs), len(prev))
+            while shared < limit and xs[shared] == prev[shared]:
+                shared += 1
+        if shared:
+            del rows[shared + 1 :]
+        else:
+            rows = [[xs[:0]]]
+        for d in range(shared, len(xs)):
+            row, c = rows[d], xs[d : d + 1]
+            rows.append(
+                [row[0]]
+                + [max(row[m], row[m - 1] + c) for m in range(1, d + 1)]
+                + [row[d] + c]
+            )
+        prev = xs
+        yield xs, rows[-1][::-1]

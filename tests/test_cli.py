@@ -156,7 +156,8 @@ class TestVerify:
         (dropk.verify, "solve_linear", lambda k, xs: xs, "  first mismatch: "),
         # so does the greedy engine, and so does the naive oracle
         (dropk.verify, "solve_greedy", lambda k, xs: xs, "  first mismatch: "),
-        (dropk.verify, "solve_naive_all_k", lambda xs: [xs] * (len(xs) + 1),
+        (dropk.verify, "each_all_k",
+         lambda seqs: ((xs, [xs] * (len(xs) + 1)) for xs in seqs),
          "  first mismatch: "),
         # an identity rewrite never deletes a kept foot: the game loses rounds
         (dropk.greedy_condition, "_alter", lambda actions, foot: actions,
@@ -171,6 +172,30 @@ class TestVerify:
         assert code == 1
         assert any(line.startswith(first) for line in out.splitlines())
         assert out.splitlines()[-1].endswith(" problems found")
+
+    def test_listed_rewrite_plays_like_the_tuple_one(self, capsys, monkeypatch):
+        # a rewrite is judged by its positions, not hashed as it comes
+        _, expected, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        real = dropk.greedy_condition._alter
+        monkeypatch.setattr(dropk.greedy_condition, "_alter",
+                            lambda actions, foot: list(real(actions, foot)))
+        code, out, err = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert (code, out, err) == (0, expected, "")
+
+    def test_lossy_listed_rewrite_exits_1(self, capsys, monkeypatch):
+        real = dropk.greedy_condition._alter
+
+        def lossy(actions, foot):
+            out = list(real(actions, foot))
+            lost = next((i for i, a in enumerate(out) if a and i != foot), None)
+            if lost is not None:
+                out[lost] = False
+            return out
+
+        monkeypatch.setattr(dropk.greedy_condition, "_alter", lossy)
+        code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
+        assert code == 1
+        assert "first counterexample: xs='11' plan=dd altered=kd" in out
 
     def test_lost_deletion_exits_1(self, capsys, monkeypatch):
         # a rewrite that keeps its first deletion off the foot still deletes

@@ -109,6 +109,18 @@ def lossy_rewrite(real):
     return lossy
 
 
+def listed_rewrite(real):
+    """The real rewrite handed back as a list: the same positions, so
+    it wins every round."""
+    return lambda actions, foot: list(real(actions, foot))
+
+
+def lossy_listed_rewrite(real):
+    """:func:`lossy_rewrite` handed back as a list."""
+    lossy = lossy_rewrite(real)
+    return lambda actions, foot: list(lossy(actions, foot))
+
+
 class TestDelPlan:
     def test_roundtrip(self):
         p = plan("kdkdk")
@@ -370,8 +382,10 @@ class TestVerifyGreedyCondition:
         report = VerifyReport(1, 1, 1, "xs='a' plan=d altered=d")
         assert "first counterexample: xs='a' plan=d altered=d" in report.summary()
 
-    @pytest.mark.parametrize("rewrite", [None, identity_rewrite, lossy_rewrite],
-                             ids=["real", "identity", "lossy"])
+    @pytest.mark.parametrize(
+        "rewrite",
+        [None, identity_rewrite, lossy_rewrite, listed_rewrite, lossy_listed_rewrite],
+        ids=["real", "identity", "lossy", "listed", "lossy-listed"])
     @pytest.mark.parametrize("alphabet, max_len", [
         ("123", 5), ("1234", 5), ((3, 1, 2), 4), ([2, 1], 4),
     ])
@@ -381,7 +395,7 @@ class TestVerifyGreedyCondition:
             monkeypatch.setattr(dropk.greedy_condition, "_alter", rewrite(real))
         got = verify_greedy_condition(max_len, alphabet)
         assert got == loop_verify_greedy_condition(max_len, alphabet)
-        assert (got.violations == 0) == (rewrite is None)
+        assert (got.violations == 0) == (rewrite in (None, listed_rewrite))
 
     @pytest.mark.parametrize("alphabet", ["123", (3, 1, 2)])
     def test_table_matches_round_loop_on_a_wrong_foot(self, monkeypatch, alphabet):

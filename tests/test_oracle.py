@@ -5,7 +5,8 @@ import time
 import pytest
 
 from conftest import all_sequences, deleted_subsequences, is_subsequence
-from dropk.oracle import solve_naive, solve_naive_all_k, step
+from dropk.core import sequences
+from dropk.oracle import each_all_k, solve_naive, solve_naive_all_k, step
 
 
 def candidates(k, xs):
@@ -134,3 +135,42 @@ class TestSolveNaiveAllK:
             assert everything == solve_naive_all_k(xs, dedupe=False)
             assert everything == [xs, xs[1:], xs[1:2], xs[:0]]
             assert all(type(best) is type(xs) for best in everything)
+
+
+def brute_all_k(xs):
+    """Every deletion count by the ``combinations`` brute force."""
+    return [solve_naive(k, xs) for k in range(len(xs) + 1)]
+
+
+class TestEachAllK:
+    @pytest.mark.parametrize("alphabet, max_len", [
+        ("123", 8), ("1234", 6), ((3, 1, 2), 6),
+    ])
+    def test_matches_brute_force_in_sweep_order(self, alphabet, max_len):
+        seqs = list(sequences(alphabet, max_len))
+        got = list(each_all_k(seqs))
+        assert [xs for xs, _ in got] == seqs
+        for xs, everything in got:
+            assert everything == brute_all_k(xs)
+            assert all(type(best) is type(xs) for best in everything)
+
+    def test_matches_brute_force_in_any_order(self):
+        # no prefix order to lean on: shuffled, repeated, shorter after
+        # longer, the empty sequence in the middle, and kinds mixed
+        rng = random.Random(12)
+        words = list(sequences("123", 6))
+        rng.shuffle(words)
+        stream = words[:300] + ["", "3211", "321", "32", "3", "3211"] + words[:40]
+        stream += [tuple(w) for w in words[:60]] + words[60:80]
+        stream += [[[int(c)] for c in w] for w in words[:60]]
+        stream += [tuple([int(c)] for c in w) for w in words[:60]]
+        stream += [list(w) for w in ("3121", "312", "3121", "", "31212")]
+        got = list(each_all_k(stream))
+        assert len(got) == len(stream)
+        for (xs, everything), sent in zip(got, stream):
+            assert xs is sent
+            assert everything == brute_all_k(xs)
+            assert all(type(best) is type(xs) for best in everything)
+
+    def test_empty_stream(self):
+        assert list(each_all_k([])) == []
