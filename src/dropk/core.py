@@ -71,6 +71,18 @@ def sequences(alphabet, max_len: int, min_len: int = 0) -> Iterator:
             yield "".join(raw) if as_str else raw
 
 
+def shared_prefix(prev, xs) -> int:
+    """How many leading elements ``xs`` shares with ``prev``, compared
+    one by one with ``==``; 0 when ``prev`` is ``None`` or of another
+    kind.  The prefix-shared sweeps keep that many rows of ``prev``."""
+    shared = 0
+    if type(xs) is type(prev):
+        limit = min(len(xs), len(prev))
+        while shared < limit and xs[shared] == prev[shared]:
+            shared += 1
+    return shared
+
+
 def rebuild(like: S, items: Iterable) -> S:
     """``items`` as a sequence of the same type as ``like``: a str, a
     tuple or a list."""

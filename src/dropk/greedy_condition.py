@@ -12,19 +12,20 @@ foot, keeps the opponent's deletion count and gives a result no smaller.
 ``verify_greedy_condition`` plays every round up to a given length and
 reports any violation instead of raising.  The rewrite depends only on
 the plan and the foot index, so for each length it builds one table,
-at call time, of every plan's rewrite under every foot, with getters
-for the positions each plan keeps and, per row, the places of the sound
-rewrites among the plans; every sequence is then played from its foot's
-rows, with no rewriting in the loop and each result built once.
+at call time, of every plan's rewrite under every foot.  Each sequence's
+2^n subsequences grow from its prefix's, shared with the sequence
+before, and one pick takes every plan's result out of them; the sound
+rewrites' results are picked out of those, so the loop rewrites nothing
+and builds each result once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
 from operator import itemgetter, lt, not_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import lex_le, rebuild, sequences
+from .core import lex_le, rebuild, sequences, shared_prefix
 from .greedy import hill_foot
 
 KEEP = False
@@ -234,14 +235,16 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
 
     A rewrite depends only on the plan and the foot, never on the
     sequence, so each length is played from a table built once, at call
-    time, through ``_alter``: per foot and per d, every plan's rewrite.
-    A sound rewrite is itself one of the d-deletion plans, so its result
-    is already among the opponents' results.  A sequence then plays its
-    foot's rows with one getter call per plan, one pick per row that
-    takes the sound rewrites' results out of the opponents' results, and
-    the built-in ``<``.  A rewrite that is not a plan of d deletions
-    over the same length, or that keeps the foot, is left out of the
-    pick: it loses on every sequence.
+    time, through ``_alter``: per foot, every plan's rewrite.  A sound
+    rewrite is itself one of the d-deletion plans, so its result is
+    already among the opponents' results.  Every subsequence of a
+    sequence is grown once, from those of the prefix it shares with the
+    sequence before, as the sequence's own kind.  A sequence then costs
+    one pick of every plan's result, one pick of the sound rewrites'
+    results, one ``sum(map(lt, ...))`` over all its rounds, and a max
+    of all and of the foot-deleting results per d.  A rewrite that is
+    not a plan of d deletions over the same length, or that keeps the
+    foot, is left out of the pick: it loses on every sequence.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -269,64 +272,92 @@ def _getter(kept: tuple[int, ...]):
     return lambda xs: ()
 
 
-def _game_table(n: int) -> list:
+def _each_subsequences(seqs: Iterable) -> Iterator:
+    """``(xs, subs)`` for every ``xs`` of ``seqs``, in order: ``subs[j]``
+    is the subsequence of ``xs`` that keeps position i exactly when bit i
+    of ``j`` is set, as ``xs``'s own kind.
+
+    ``rows[d]`` holds the 2^d subsequences of ``xs[:d]``, and each row
+    is the one before it twice over, once without and once with the next
+    element.  As in :func:`dropk.oracle.each_all_k`, a sequence keeps the
+    rows of the prefix it shares with the one before, so neighbours in
+    odometer order rebuild only their last rows.
+    """
+    rows: list[list] = []
+    prev = None
+    for xs in seqs:
+        shared = shared_prefix(prev, xs)
+        if shared:
+            del rows[shared + 1 :]
+        else:
+            rows = [[xs[:0]]]
+        for d in range(shared, len(xs)):
+            row, c = rows[d], xs[d : d + 1]
+            rows.append(row + [r + c for r in row])
+        prev = xs
+        yield xs, rows[-1]
+
+
+def _game_table(n: int) -> tuple:
     """Every round over length ``n`` with the sequence left out.
 
-    ``table[foot][d - 1]`` holds, for the d-deletion plans in order: the
-    plans, the getters of what they keep, their rewrites, which
-    rewrites are sound (one of the d-deletion plans, deleting the foot),
-    one getter that picks the sound rewrites' results out of the list of
-    the opponents' results, and which plans delete the foot themselves.
-    The opponents' getters are shared across feet.
+    The plans are those of every d >= 1 in order, d first, then
+    :func:`enumerate_plans` order.  The table holds them, one ``pick``
+    that takes every plan's result out of a sequence's subsequences (see
+    :func:`_each_subsequences`), and, per foot: the rewrites, which
+    rewrites are sound (a plan over length ``n`` with the opponent's
+    deletion count that deletes the foot), one getter that picks the
+    sound rewrites' results out of the opponents' results, and, per d,
+    the slice of the d-deletion plans with which of them delete the foot.
     """
-    plans = [tuple(p.actions for p in enumerate_plans(d, n)) for d in range(1, n + 1)]
-    opponents = [
-        [_getter(tuple(compress(range(n), map(not_, actions)))) for actions in group]
-        for group in plans
-    ]
-    indices = [{actions: i for i, actions in enumerate(group)} for group in plans]
-    table = []
+    groups = [[p.actions for p in enumerate_plans(d, n)] for d in range(1, n + 1)]
+    plans = [actions for group in groups for actions in group]
+    pick = _getter(tuple(sum(1 << i for i, a in enumerate(actions) if a == KEEP)
+                         for actions in plans))
+    index = {actions: i for i, actions in enumerate(plans)}
+    spans, start = [], 0
+    for group in groups:
+        spans.append(slice(start, start + len(group)))
+        start += len(group)
+    rows = []
     for foot in range(n):
-        rows = []
-        for group, opp_get, index in zip(plans, opponents, indices):
-            # a rewrite is judged by its positions, whatever sequence
-            # kind _alter hands back
-            altered = tuple(tuple(_alter(actions, foot)) for actions in group)
-            sound = bytes(a in index and bool(a[foot]) for a in altered)
-            ours_get = _getter(tuple(index[a] for a, ok in zip(altered, sound) if ok))
-            deletes_foot = bytes(actions[foot] for actions in group)
-            rows.append((group, opp_get, altered, sound, ours_get, deletes_foot))
-        table.append(rows)
-    return table
+        # a rewrite is judged by its positions, whatever sequence kind
+        # _alter hands back
+        altered = [tuple(_alter(actions, foot)) for actions in plans]
+        sound = bytes(a in index and sum(a) == sum(actions) and bool(a[foot])
+                      for a, actions in zip(altered, plans))
+        ours_get = _getter(tuple(index[a] for a, ok in zip(altered, sound) if ok))
+        maxima = [(span, bytes(actions[foot] for actions in plans[span])) for span in spans]
+        rows.append((altered, sound, ours_get, maxima))
+    return plans, pick, rows
 
 
 def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
     """Cases, maxima checks, violations and the first counterexample of
     every round over sequences of length ``n``; the table lives only
     for this call."""
-    table = _game_table(n)
-    cases = maxima_checks = violations = 0
+    plans, pick, rows = _game_table(n)
+    played = violations = 0
     first: str | None = None
-    for xs in sequences(alphabet, n, n):
-        rows = table[foot_witness(xs).index]
-        for group, opp_get, altered, sound, ours_get, deletes_foot in rows:
-            adversary = [get(xs) for get in opp_get]
-            ours = ours_get(adversary)
-            cases += len(adversary)
-            lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
-            if lost:
-                violations += lost
-                if first is None:
-                    # the first row that is unsound or loses on value
-                    ours_iter = iter(ours)
-                    i = next(i for i, ok in enumerate(sound)
-                             if not ok or next(ours_iter) < adversary[i])
-                    first = f"xs={xs!r} plan={DelPlan(group[i])} altered={DelPlan(altered[i])}"
-            best_any = max(adversary)
-            best_foot = max(compress(adversary, deletes_foot))
-            maxima_checks += 1
-            if best_foot < best_any:
-                # no message: a plan reaching best_any keeps the foot, so its
-                # rewrite, unsound or at most best_foot, already lost above
+    for xs, subs in _each_subsequences(sequences(alphabet, n, n)):
+        altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
+        adversary = pick(subs)
+        ours = ours_get(adversary)
+        played += 1
+        lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
+        if lost:
+            violations += lost
+            if first is None:
+                # the first plan whose rewrite is unsound or loses on value
+                ours_iter = iter(ours)
+                i = next(i for i, ok in enumerate(sound)
+                         if not ok or next(ours_iter) < adversary[i])
+                first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
+        for span, deletes_foot in maxima:
+            results = adversary[span]
+            if max(compress(results, deletes_foot)) < max(results):
+                # no message: a plan reaching the best keeps the foot, so
+                # its rewrite, unsound or no better than the best
+                # foot-deleting plan, already lost above
                 violations += 1
-    return cases, maxima_checks, violations, first
+    return played * len(plans), played * n, violations, first

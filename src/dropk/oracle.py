@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import S, check_deletion_count, drops, max_lex, rebuild
+from .core import S, check_deletion_count, drops, max_lex, rebuild, shared_prefix
 
 
 def step(xss: Sequence[S]) -> list[S]:
@@ -91,11 +91,7 @@ def each_all_k(seqs: Iterable[S]) -> Iterator[tuple[S, list[S]]]:
     rows: list[list] = []
     prev = None
     for xs in seqs:
-        shared = 0
-        if type(xs) is type(prev):
-            limit = min(len(xs), len(prev))
-            while shared < limit and xs[shared] == prev[shared]:
-                shared += 1
+        shared = shared_prefix(prev, xs)
         if shared:
             del rows[shared + 1 :]
         else:

@@ -1,0 +1,161 @@
+"""Mutation check: every mutant listed here must make the tier-1 suite fail.
+
+Run from anywhere, with the interpreter that runs the tests::
+
+    python tests/mutants.py
+
+A mutant is a source file, an exact old text that occurs in it once and
+a new text.  For each mutant the runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, replaces the old text
+there and runs the tier-1 suite in that copy with ``-x``.  The working
+tree is never written.  The exit status is 1 when any mutant survives
+(the suite passes) or any old text is not found exactly once, so the
+list cannot rot silently; otherwise 0.
+
+pytest does not collect this file (it is not named ``test_*.py``), so
+tier-1 itself runs no mutant.
+
+Left out because it is equivalent, not because it survives:
+``check_mono_aux`` returning ``True`` is right under its own
+preconditions (x at least the head of the tail).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    what: str
+
+
+MUTANTS = [
+    # the equivalence sweep stops comparing one engine
+    Mutant("src/dropk/verify.py", "expected[k] == got_greedy == got_linear",
+           "expected[k] == got_linear", "equivalence sweep skips the greedy engine"),
+    Mutant("src/dropk/verify.py", "expected[k] == got_greedy == got_linear",
+           "got_greedy == got_linear", "equivalence sweep skips the naive oracle"),
+    Mutant("src/dropk/verify.py", "            if x < tail[0]:",
+           "            if x > tail[0]:", "aux sweep's head test reversed"),
+    Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet)",
+           "verify.equivalence_sweep(args.max_len - 1, alphabet)",
+           "verify's equivalence sweep skips its longest length"),
+    Mutant("src/dropk/cli.py", "    print(linear.solve_linear(args.k, text))",
+           "    print(text)", "dropk trace prints the input as its answer"),
+    # the scan
+    Mutant("src/dropk/linear.py", "return stack, xs, len(stack) - 1 + budget, 0",
+           "return stack, xs, len(stack) + budget, 0", "scan's early-exit consumed count"),
+    Mutant("src/dropk/linear.py", "        if top < y:", "        if top <= y:",
+           "scan pops an equal top"),
+    Mutant("src/dropk/linear.py", "while k and stack[-1] < y:", "while k and stack[-1] <= y:",
+           "scan's inner loop pops an equal element"),
+    Mutant("src/dropk/linear.py", 'xs.encode("utf-32", "surrogatepass")', 'xs.encode("utf-32")',
+           "strict UTF-32 codec"),
+    Mutant("src/dropk/linear.py", "    if type(acc) is not type(rest):", "    if False:",
+           "gsolve takes mixed kinds"),
+    Mutant("src/dropk/core.py", "tokens = sorted(set(alphabet))",
+           "tokens = sorted(set(alphabet), reverse=True)", "sequences out of order"),
+    Mutant("src/dropk/greedy.py", "    for _ in range(k):", "    for _ in range(min(k, 1)):",
+           "solve_greedy steps at most once"),
+    # the prefix-shared naive oracle
+    Mutant("src/dropk/oracle.py", "max(row[m], row[m - 1] + c)", "min(row[m], row[m - 1] + c)",
+           "oracle keeps the worse candidate"),
+    Mutant("src/dropk/oracle.py", "max(row[m], row[m - 1] + c)", "max(row[m], row[m] + c)",
+           "oracle extends the wrong row entry"),
+    Mutant("src/dropk/oracle.py", "del rows[shared + 1 :]", "del rows[shared + 2 :]",
+           "oracle keeps one stale row"),
+    Mutant("src/dropk/core.py", "    if type(xs) is type(prev):", "    if prev is not None:",
+           "shared prefix across sequence kinds"),
+    # the exchange game
+    Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
+           "game pick reads bit i as deleted"),
+    Mutant("src/dropk/greedy_condition.py", "del rows[shared + 1 :]", "del rows[shared + 2 :]",
+           "game keeps one stale row of subsequences"),
+    Mutant("src/dropk/greedy_condition.py", "a in index and sum(a) == sum(actions) and ",
+           "a in index and ", "sound ignores the deletion count"),
+    Mutant("src/dropk/greedy_condition.py", "sum(a) == sum(actions) and bool(a[foot])",
+           "sum(a) == sum(actions)", "sound ignores the foot"),
+    Mutant("src/dropk/greedy_condition.py", "altered = [tuple(_alter(actions, foot))",
+           "altered = [(_alter(actions, foot))", "rewrite not judged by its positions"),
+    Mutant("src/dropk/greedy_condition.py", "lost = len(adversary) - len(ours) + ", "lost = ",
+           "unsound rewrites are not counted"),
+    Mutant("src/dropk/greedy_condition.py", "if not ok or next(ours_iter) < adversary[i])",
+           "if not ok)", "first counterexample ignores lost values"),
+    Mutant("src/dropk/greedy_condition.py",
+           "if max(compress(results, deletes_foot)) < max(results):",
+           "if max(compress(results, deletes_foot)) <= max(results):",
+           "maxima check counts ties"),
+    Mutant("src/dropk/greedy_condition.py",
+           "if max(compress(results, deletes_foot)) < max(results):", "if False:",
+           "maxima check dropped"),
+    Mutant("src/dropk/greedy_condition.py", "return lambda xs: (xs[i],)", "return itemgetter(i)",
+           "one-index getter returns a bare element"),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _missing(mutant: Mutant) -> bool:
+    return (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) != 1
+
+
+def _passes(mutant: Mutant | None) -> bool:
+    """Run tier-1 with ``-x`` on a copy with ``mutant`` applied, or on a
+    plain copy for ``None``; True when every test passes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _copy_tree(work)
+        if mutant is not None:
+            target = work / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+             "-p", "no:cacheprovider"],
+            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        return result.returncode == 0
+
+
+def main() -> int:
+    missing = [m for m in MUTANTS if _missing(m)]
+    for m in missing:
+        print(f"old text not found exactly once in {m.path}: {m.old!r} ({m.what})")
+    if not _passes(None):
+        # every mutant would look killed
+        print("tier-1 fails on an unmutated copy")
+        return 1
+    survivors = []
+    for m in MUTANTS:
+        if m in missing:
+            continue
+        start = time.perf_counter()
+        survived = _passes(m)
+        verdict = "SURVIVED" if survived else "killed"
+        print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {m.path}: {m.what}", flush=True)
+        if survived:
+            survivors.append(m)
+    print(f"{len(MUTANTS)} mutants: {len(survivors)} survived, {len(missing)} not applicable")
+    return 1 if survivors or missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from dropk.greedy_condition import (
     DelPlan,
     FootWitness,
     VerifyReport,
+    _each_subsequences,
     _game_table,
     _getter,
     _round,
@@ -416,19 +417,43 @@ class TestVerifyGreedyCondition:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_short_rows_keep_zero_or_one(self, n):
-        # every row agrees with apply_plan, so d = n keeps nothing and
+        # every pick agrees with apply_plan, so d = n keeps nothing and
         # d = n - 1 keeps one position; distinct elements make each
-        # result name its plan, so the pick must take the right ones
-        table = _game_table(n)
-        for xs in ("31415"[:n], tuple(range(n))):
-            for rows in table:
-                for d, (group, opp_get, altered, sound, ours_get, _) in enumerate(rows, 1):
-                    assert all(sound)
-                    adversary = [get(xs) for get in opp_get]
-                    assert adversary == [tuple(apply_plan(xs, DelPlan(a))) for a in group]
-                    ours = ours_get(adversary)
-                    assert list(ours) == [tuple(apply_plan(xs, DelPlan(a))) for a in altered]
-                    assert all(len(r) == n - d for r in (*adversary, *ours))
+        # result name its plan, so the picks must take the right ones
+        plans, pick, rows = _game_table(n)
+        assert plans == [p.actions for d in range(1, n + 1) for p in enumerate_plans(d, n)]
+        for xs, subs in _each_subsequences(["31425"[:n], tuple(range(n))]):
+            adversary = pick(subs)
+            assert list(adversary) == [apply_plan(xs, DelPlan(a)) for a in plans]
+            for foot, (altered, sound, ours_get, maxima) in enumerate(rows):
+                assert all(sound)
+                ours = ours_get(adversary)
+                assert list(ours) == [apply_plan(xs, DelPlan(a)) for a in altered]
+                assert sum(len(plans[span]) for span, _ in maxima) == len(plans)
+                for d, (span, deletes_foot) in enumerate(maxima, 1):
+                    assert {sum(a) for a in plans[span]} == {d}
+                    assert deletes_foot == bytes(a[foot] for a in plans[span])
+                    assert all(len(r) == n - d for r in (*adversary[span], *ours[span]))
+
+    @pytest.mark.parametrize("stream", [
+        ["31425", "31452", "52413", ""],
+        [(0, 1, 2), (2, 1, 0), (2, 1), (2, 1, 0, 3)],
+        ["ab", ("a", "b"), ["a", "b"], ["a", "c"]],
+    ], ids=["str", "tuple", "mixed"])
+    def test_subsequences_follow_the_kept_bits(self, stream):
+        # bit i of the index keeps position i, after a neighbour that
+        # shares a prefix, one that shares none and one of another kind
+        seen = []
+        for xs, subs in _each_subsequences(stream):
+            seen.append(xs)
+            n = len(xs)
+            assert len(subs) == 2**n
+            for d in range(n + 1):
+                for p in enumerate_plans(d, n):
+                    index = sum(1 << i for i, a in enumerate(p.actions) if a == KEEP)
+                    assert subs[index] == apply_plan(xs, p)
+                    assert type(subs[index]) is type(xs)
+        assert seen == stream
 
     def test_guards(self):
         with pytest.raises(ValueError):
