@@ -20,11 +20,6 @@ terminal step, so a run takes pushes + pops + 1 <= n + k + 1 steps.  The
 scan keeps no counter: where it stops tells both numbers, since pushes
 are the elements consumed and pops the deletions spent.  Code points
 push and pop exactly where characters would, so the count is the same.
-
-``checked=True`` makes one O(n) pass over the kept prefix after the scan
-and raises ``ValueError`` unless it is weakly descending.  An element is
-pushed only onto the sentinel or a top at least as large, so that one
-pass checks the invariant every step relied on.
 """
 
 from __future__ import annotations
@@ -32,12 +27,6 @@ from __future__ import annotations
 from typing import Any, Iterator, NamedTuple
 
 from .core import S, check_deletion_count, rebuild
-
-
-def _require_descending(stack: list, message: str) -> None:
-    for j in range(len(stack) - 1):
-        if stack[j] < stack[j + 1]:
-            raise ValueError(message)
 
 
 class _Top:
@@ -92,12 +81,10 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     return stack, xs, len(xs), k
 
 
-def _solve(k: int, xs: S, checked: bool) -> S:
+def _solve(k: int, xs: S) -> S:
     stack, scanned, consumed, k_left = _scan(k, xs)
     if k_left:
         del stack[len(stack) - k_left :]
-    if checked:
-        _require_descending(stack, "scan invariant broken: prefix not weakly descending")
     del stack[0]
     if scanned is xs:  # a tuple or a list, scanned as it is
         return rebuild(xs, stack) + xs[consumed:]
@@ -106,36 +93,26 @@ def _solve(k: int, xs: S, checked: bool) -> S:
     return "".join(map(chr, stack)) + xs[consumed:]
 
 
-def gsolve(k: int, acc: S, rest: S, *, checked: bool = False) -> S:
+def gsolve(k: int, acc: S, rest: S) -> S:
     """Solve ``reverse(acc) + rest`` with ``k`` deletions: the optimum of
     that whole sequence, for any prefix ``acc``.
 
     ``acc`` is the traversed prefix stored newest-first, and ``acc`` and
     ``rest`` must be the same type of sequence.  This is the scan of
     :func:`solve_linear` run on ``acc[::-1] + rest``, so an ``acc`` in any
-    order gives the right answer.  ``checked=True`` also raises
-    ``ValueError`` unless ``acc``, read front to back, is weakly
-    nondecreasing, as a prefix saved by the scan would be; that costs
-    O(len(acc)).
+    order gives the right answer.
     """
     if type(acc) is not type(rest):
         raise ValueError("acc and rest must be the same type of sequence")
-    prefix = acc[::-1]
-    whole = prefix + rest
+    whole = acc[::-1] + rest
     check_deletion_count(k, whole)
-    if checked:
-        _require_descending(prefix, "accumulator must be weakly nondecreasing front to back")
-    return _solve(k, whole, checked)
+    return _solve(k, whole)
 
 
-def solve_linear(k: int, xs: S, *, checked: bool = False) -> S:
-    """Largest remainder after ``k`` deletions, in one O(n + k) scan.
-
-    ``checked=True`` adds one O(n) pass that checks the kept prefix is
-    weakly descending.
-    """
+def solve_linear(k: int, xs: S) -> S:
+    """Largest remainder after ``k`` deletions, in one O(n + k) scan."""
     check_deletion_count(k, xs)
-    return _solve(k, xs, checked)
+    return _solve(k, xs)
 
 
 def count_steps(k: int, xs: S) -> int:

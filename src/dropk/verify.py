@@ -25,25 +25,40 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
     with the sequence before; the sweep's odometer order shares all but
     about one and a half trailing elements.
 
-    The greedy column cascades as the paper calculates it: the best
-    result for k + 1 deletions is one greedy step on the best for k.  So
-    it starts at ``solve_greedy(0, xs)`` and each next k takes
-    ``solve_greedy(1, ·)`` of the previous answer: n hill-foot scans per
-    sequence of length n, not n(n + 1)/2, and that identity is checked
-    on every sequence and k.  The k-step loop inside ``solve_greedy`` is
-    checked exhaustively by ``tests/test_greedy.py``'s
+    The greedy column reads the paper's recursion from its far end:
+    ``solve_greedy(k, xs) == solve_greedy(k - 1, gstep(xs))``, so the
+    row of results for every k is ``xs`` followed by the row of
+    ``solve_greedy(1, xs)``.  Every sequence one shorter was swept just
+    before, so its row is looked up, not recomputed: one hill-foot scan
+    per nonempty sequence, not n(n + 1)/2.  Only the previous length's
+    rows are kept, and none at ``max_len``.  ``row[k]`` is ``gstep``
+    applied k times, each time by the engine's own step; a step that
+    lands outside the shorter rows (a broken engine) stands in for every
+    later k and is reported as a mismatch.  The k-step loop inside
+    ``solve_greedy`` is checked exhaustively by ``tests/test_greedy.py``'s
     ``TestSolveGreedy.test_agrees_with_exhaustive_search``.
     """
     cases = mismatches = 0
     first: str | None = None
+    rows: dict = {}  # the greedy rows of the previous length
+    built: dict = {}
+    length = 0
     for xs, expected in each_all_k(sequences(alphabet, max_len)):
-        got_greedy = solve_greedy(0, xs)
-        for k in range(len(xs) + 1):
+        if len(xs) != length:
+            rows, built, length = built, {}, len(xs)
+        if xs:
+            step = solve_greedy(1, xs)
+            try:
+                row = (xs, *rows[step])
+            except KeyError:
+                # a broken step: report it for every k instead of raising
+                row = (xs,) + (step,) * length
+        else:
+            row = (xs,)
+        if length < max_len:
+            built[xs] = row
+        for k, got_greedy in enumerate(row):
             cases += 1
-            if k and got_greedy:
-                # an emptied column has already mismatched, and a step on
-                # it would raise instead of reporting
-                got_greedy = solve_greedy(1, got_greedy)
             got_linear = solve_linear(k, xs)
             if not (expected[k] == got_greedy == got_linear):
                 mismatches += 1

@@ -47,6 +47,15 @@ MUTANTS = [
            "expected[k] == got_linear", "equivalence sweep skips the greedy engine"),
     Mutant("src/dropk/verify.py", "expected[k] == got_greedy == got_linear",
            "got_greedy == got_linear", "equivalence sweep skips the naive oracle"),
+    # the greedy column's rows
+    Mutant("src/dropk/verify.py", "row = (xs, *rows[step])", "row = (*rows[step], xs)",
+           "greedy row puts the sequence last"),
+    Mutant("src/dropk/verify.py", "row = (xs, *rows[step])", "row = (xs, *rows[step][1:], step)",
+           "greedy row of the step shifted by one"),
+    Mutant("src/dropk/verify.py", "if length < max_len:", "if length < max_len - 1:",
+           "greedy rows of the next-to-last length not kept"),
+    Mutant("src/dropk/verify.py", "row = (xs,) + (step,) * length", "raise",
+           "a step outside the shorter rows raises instead of reporting"),
     Mutant("src/dropk/verify.py", "            if x < tail[0]:",
            "            if x > tail[0]:", "aux sweep's head test reversed"),
     Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet)",

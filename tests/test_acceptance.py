@@ -6,8 +6,9 @@ tolerance is loosened here.  The sweeps are exhaustive over a 3-token
 alphabet at the lengths given per criterion (c3b: 4 tokens), and c2 and
 c5 run the same sweeps as ``dropk verify``.  This module takes about
 2-4 s on Python 3.11.  c2 (280,483 cases, with the naive answers grown
-from each shared prefix) takes 0.7-1.5 s and c6 about 0.7 s; c3 and c3b
-take a tenth to a quarter of a second each.
+from each shared prefix and one greedy step per sequence) takes
+0.6-1.3 s and c6 about 0.7 s; c3 and c3b take a tenth to a quarter of a
+second each.
 """
 
 import random

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import MIXED_CHARS, all_sequences
 from dropk.greedy import gstep, solve_greedy
-from dropk.linear import count_steps, gsolve, scan_events, solve_linear
+from dropk.linear import _scan, count_steps, gsolve, scan_events, solve_linear
 from dropk.oracle import solve_naive, solve_naive_all_k
 
 
@@ -15,6 +15,13 @@ def descending_sequences(alphabet, max_len):
         for raw in product(sorted(alphabet), repeat=n):
             if all(raw[j] >= raw[j + 1] for j in range(n - 1)):
                 yield "".join(raw)
+
+
+def assert_kept_prefix_descends(k, xs):
+    # the scan's stack past its sentinel, code points for a string, is
+    # the kept prefix every push relied on being weakly descending
+    kept = _scan(k, xs)[0][1:]
+    assert all(kept[j] >= kept[j + 1] for j in range(len(kept) - 1))
 
 
 class TestGsolve:
@@ -53,14 +60,9 @@ class TestGsolve:
         for acc, rest in cases:
             whole = acc[::-1] + rest
             for k in range(len(whole) + 1):
-                got = gsolve(k, acc, rest, checked=True)
+                got = gsolve(k, acc, rest)
                 assert got == solve_greedy(k, whole) == solve_linear(k, whole)
-
-    def test_checked_mode_validates_accumulator(self):
-        # 'ba' reads decreasing front to back, so checked mode rejects it
-        with pytest.raises(ValueError, match="nondecreasing"):
-            gsolve(0, "ba", "cd", checked=True)
-        assert gsolve(2, "789", "", checked=True) == "9"
+                assert_kept_prefix_descends(k, whole)
 
     def test_generalizes_full_solve(self):
         # scanning from a saved prefix equals solving the whole sequence
@@ -69,7 +71,8 @@ class TestGsolve:
                 whole = ds + ys
                 for k in range(len(whole) + 1):
                     expected = solve_naive(k, whole, dedupe=True)
-                    assert gsolve(k, ds[::-1], ys, checked=True) == expected
+                    assert gsolve(k, ds[::-1], ys) == expected
+                    assert_kept_prefix_descends(k, whole)
 
 
 class TestSolveLinear:
@@ -98,9 +101,10 @@ class TestSolveLinear:
         for xs in all_sequences("abc", 6):
             expected = solve_naive_all_k(xs, dedupe=True)
             for k in range(len(xs) + 1):
-                got = solve_linear(k, xs, checked=True)
+                got = solve_linear(k, xs)
                 assert got == expected[k] == solve_greedy(k, xs)
                 assert len(got) == len(xs) - k
+                assert_kept_prefix_descends(k, xs)
 
     @given(st.text(alphabet="0123456789", max_size=60), st.data())
     def test_agrees_with_greedy_random(self, xs, data):

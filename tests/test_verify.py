@@ -3,7 +3,8 @@ import re
 import pytest
 
 import dropk.greedy
-from dropk.greedy_condition import verify_greedy_condition
+import dropk.verify
+from dropk.greedy_condition import VerifyReport, verify_greedy_condition
 from dropk.verify import equivalence_sweep, mono_aux_sweep
 
 
@@ -16,10 +17,10 @@ def test_empty_alphabet_raises(sweep):
 
 @pytest.mark.parametrize("step", [
     lambda xs: xs[:-1],  # deletes the last element instead of the foot
-    lambda xs: xs[2:],  # deletes two: the cascade must report, not raise
+    lambda xs: xs[2:],  # deletes two: lands outside the shorter rows, must report
 ])
 def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
-    # the sweep cascades through solve_greedy(1, ·), so a broken greedy
+    # every greedy row starts with solve_greedy(1, ·), so a broken greedy
     # step must show up in the greedy column alone
     monkeypatch.setattr(dropk.greedy, "gstep", step)
     report = equivalence_sweep(4, "123")
@@ -28,3 +29,29 @@ def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
         r"xs=\S+ k=\d+: naive=(\S+) greedy=(\S+) linear=(\S+)", report.first_counterexample
     ).groups()
     assert naive == linear != greedy
+
+
+def test_greedy_column_takes_one_step_per_sequence(monkeypatch):
+    # row k of gstep(xs) is row k + 1 of xs, so each nonempty sequence
+    # costs one greedy step: 3 + 9 + ... + 729 calls, not one per k
+    calls = 0
+    real = dropk.verify.solve_greedy
+
+    def counted(k, xs):
+        nonlocal calls
+        calls += 1
+        return real(k, xs)
+
+    monkeypatch.setattr(dropk.verify, "solve_greedy", counted)
+    assert equivalence_sweep(6, "123") == VerifyReport(7108, 0, 0, None)
+    assert calls == 1092
+
+
+@pytest.mark.parametrize("max_len, alphabet", [
+    (6, (3, 1, 2)),  # tuple keys in the greedy rows
+    (5, "a\u00e9\U0001f600"),  # the scan's UTF-32 path
+])
+def test_equivalence_sweep_beyond_latin_1_strings(max_len, alphabet):
+    report = equivalence_sweep(max_len, alphabet)
+    assert report.violations == 0
+    assert report.cases == sum(3**n * (n + 1) for n in range(max_len + 1))
