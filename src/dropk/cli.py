@@ -54,7 +54,14 @@ def _load_input(args) -> str:
     if (args.input is None) == (args.file is None):
         raise _UsageError("provide exactly one input: positional text or --file")
     text = args.input
-    if args.file is not None:
+    if args.file is None:
+        # argv bytes that are not UTF-8 arrive as lone surrogates, which
+        # no UTF-8 output can print
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise _UsageError(f"input: not valid UTF-8 (character {exc.start})")
+    else:
         # bytes, not text mode: text mode would turn every "\r" into "\n"
         try:
             text = Path(args.file).read_bytes().decode("utf-8")

@@ -60,27 +60,48 @@ def sequences(alphabet, max_len: int, min_len: int = 0) -> Iterator:
     within a length.
 
     A string alphabet yields strings, any other yields tuples.  An empty
-    alphabet raises ``ValueError``: a sweep over it would check nothing.
+    alphabet, or ``max_len < min_len``, raises ``ValueError``: a sweep
+    over no tokens or no lengths would check nothing.
     """
     tokens = sorted(set(alphabet))
     if not tokens:
         raise ValueError("alphabet must be nonempty")
+    if max_len < min_len:
+        raise ValueError("max_len must be >= min_len")
     as_str = isinstance(alphabet, str)
     for n in range(min_len, max_len + 1):
         for raw in product(tokens, repeat=n):
             yield "".join(raw) if as_str else raw
 
 
-def shared_prefix(prev, xs) -> int:
-    """How many leading elements ``xs`` shares with ``prev``, compared
-    one by one with ``==``; 0 when ``prev`` is ``None`` or of another
-    kind.  The prefix-shared sweeps keep that many rows of ``prev``."""
-    shared = 0
-    if type(xs) is type(prev):
-        limit = min(len(xs), len(prev))
-        while shared < limit and xs[shared] == prev[shared]:
-            shared += 1
-    return shared
+def grow_rows(seqs: Iterable[S], extend) -> Iterator[tuple[S, list]]:
+    """``(xs, rows[len(xs)])`` for every ``xs`` of ``seqs``, in order,
+    where ``rows[0]`` is ``[xs[:0]]`` and ``rows[d + 1]`` is
+    ``extend(rows[d], xs[d : d + 1])``.
+
+    A sequence keeps the rows of the prefix it shares with the one
+    before, compared element by element with ``==`` and only between
+    sequences of the same kind, and builds the rest; neighbours in
+    odometer order, as :func:`sequences` yields them, share all but
+    their last rows.  Only the current sequence's rows are held.  A row
+    is reused by later sequences, so a yielded row must not be mutated.
+    """
+    rows: list[list] = []
+    prev = None
+    for xs in seqs:
+        shared = 0
+        if type(xs) is type(prev):
+            limit = min(len(xs), len(prev))
+            while shared < limit and xs[shared] == prev[shared]:
+                shared += 1
+        if shared:
+            del rows[shared + 1 :]
+        else:
+            rows = [[xs[:0]]]
+        for d in range(shared, len(xs)):
+            rows.append(extend(rows[d], xs[d : d + 1]))
+        prev = xs
+        yield xs, rows[-1]
 
 
 def rebuild(like: S, items: Iterable) -> S:

@@ -13,19 +13,19 @@ foot, keeps the opponent's deletion count and gives a result no smaller.
 reports any violation instead of raising.  The rewrite depends only on
 the plan and the foot index, so for each length it builds one table,
 at call time, of every plan's rewrite under every foot.  Each sequence's
-2^n subsequences grow from its prefix's, shared with the sequence
-before, and one pick takes every plan's result out of them; the sound
-rewrites' results are picked out of those, so the loop rewrites nothing
-and builds each result once.
+2^n subsequences grow from its prefix's through ``core.grow_rows``,
+shared with the sequence before, and one pick takes every plan's result
+out of them; the sound rewrites' results are picked out of those, so the
+loop rewrites nothing and builds each result once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
 from operator import itemgetter, lt, not_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import lex_le, rebuild, sequences, shared_prefix
+from .core import grow_rows, lex_le, rebuild, sequences
 from .greedy import hill_foot
 
 KEEP = False
@@ -238,11 +238,12 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     time, through ``_alter``: per foot, every plan's rewrite.  A sound
     rewrite is itself one of the d-deletion plans, so its result is
     already among the opponents' results.  Every subsequence of a
-    sequence is grown once, from those of the prefix it shares with the
-    sequence before, as the sequence's own kind.  A sequence then costs
-    one pick of every plan's result, one pick of the sound rewrites'
-    results, one ``sum(map(lt, ...))`` over all its rounds, and a max
-    of all and of the foot-deleting results per d.  A rewrite that is
+    sequence is grown once, as the sequence's own kind, by
+    :func:`dropk.core.grow_rows`, from those of the prefix it shares with
+    the sequence before.  A sequence then costs one pick of every plan's
+    result, one pick of the sound rewrites' results, one
+    ``sum(map(lt, ...))`` over all its rounds, and a max of all and of
+    the foot-deleting results per d.  A rewrite that is
     not a plan of d deletions over the same length, or that keeps the
     foot, is left out of the pick: it loses on every sequence.
     """
@@ -252,12 +253,29 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     cases = maxima_checks = violations = 0
     first: str | None = None
     for n in range(1, max_len + 1):
-        length_cases, length_maxima, length_violations, length_first = _play_length(n, alphabet)
-        cases += length_cases
-        maxima_checks += length_maxima
-        violations += length_violations
-        if first is None:
-            first = length_first
+        plans, pick, rows = _game_table(n)
+        for xs, subs in grow_rows(sequences(alphabet, n, n), _double_row):
+            altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
+            adversary = pick(subs)
+            ours = ours_get(adversary)
+            cases += len(plans)
+            maxima_checks += n
+            lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
+            if lost:
+                violations += lost
+                if first is None:
+                    # the first plan whose rewrite is unsound or loses on value
+                    ours_iter = iter(ours)
+                    i = next(i for i, ok in enumerate(sound)
+                             if not ok or next(ours_iter) < adversary[i])
+                    first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
+            for span, deletes_foot in maxima:
+                results = adversary[span]
+                if max(compress(results, deletes_foot)) < max(results):
+                    # no message: a plan reaching the best keeps the foot, so
+                    # its rewrite, unsound or no better than the best
+                    # foot-deleting plan, already lost above
+                    violations += 1
     return VerifyReport(cases, maxima_checks, violations, first)
 
 
@@ -272,30 +290,11 @@ def _getter(kept: tuple[int, ...]):
     return lambda xs: ()
 
 
-def _each_subsequences(seqs: Iterable) -> Iterator:
-    """``(xs, subs)`` for every ``xs`` of ``seqs``, in order: ``subs[j]``
-    is the subsequence of ``xs`` that keeps position i exactly when bit i
-    of ``j`` is set, as ``xs``'s own kind.
-
-    ``rows[d]`` holds the 2^d subsequences of ``xs[:d]``, and each row
-    is the one before it twice over, once without and once with the next
-    element.  As in :func:`dropk.oracle.each_all_k`, a sequence keeps the
-    rows of the prefix it shares with the one before, so neighbours in
-    odometer order rebuild only their last rows.
-    """
-    rows: list[list] = []
-    prev = None
-    for xs in seqs:
-        shared = shared_prefix(prev, xs)
-        if shared:
-            del rows[shared + 1 :]
-        else:
-            rows = [[xs[:0]]]
-        for d in range(shared, len(xs)):
-            row, c = rows[d], xs[d : d + 1]
-            rows.append(row + [r + c for r in row])
-        prev = xs
-        yield xs, rows[-1]
+def _double_row(row: list, c) -> list:
+    """The subsequences of ``xs + c`` from those of ``xs``: each without
+    ``c``, then each with it, so entry ``j`` of a sequence's full row
+    keeps position i exactly when bit i of ``j`` is set."""
+    return row + [r + c for r in row]
 
 
 def _game_table(n: int) -> tuple:
@@ -303,8 +302,8 @@ def _game_table(n: int) -> tuple:
 
     The plans are those of every d >= 1 in order, d first, then
     :func:`enumerate_plans` order.  The table holds them, one ``pick``
-    that takes every plan's result out of a sequence's subsequences (see
-    :func:`_each_subsequences`), and, per foot: the rewrites, which
+    that takes every plan's result out of a sequence's subsequences, as
+    :func:`_double_row` orders them, and, per foot: the rewrites, which
     rewrites are sound (a plan over length ``n`` with the opponent's
     deletion count that deletes the foot), one getter that picks the
     sound rewrites' results out of the opponents' results, and, per d,
@@ -330,34 +329,3 @@ def _game_table(n: int) -> tuple:
         maxima = [(span, bytes(actions[foot] for actions in plans[span])) for span in spans]
         rows.append((altered, sound, ours_get, maxima))
     return plans, pick, rows
-
-
-def _play_length(n: int, alphabet) -> tuple[int, int, int, str | None]:
-    """Cases, maxima checks, violations and the first counterexample of
-    every round over sequences of length ``n``; the table lives only
-    for this call."""
-    plans, pick, rows = _game_table(n)
-    played = violations = 0
-    first: str | None = None
-    for xs, subs in _each_subsequences(sequences(alphabet, n, n)):
-        altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
-        adversary = pick(subs)
-        ours = ours_get(adversary)
-        played += 1
-        lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
-        if lost:
-            violations += lost
-            if first is None:
-                # the first plan whose rewrite is unsound or loses on value
-                ours_iter = iter(ours)
-                i = next(i for i, ok in enumerate(sound)
-                         if not ok or next(ours_iter) < adversary[i])
-                first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
-        for span, deletes_foot in maxima:
-            results = adversary[span]
-            if max(compress(results, deletes_foot)) < max(results):
-                # no message: a plan reaching the best keeps the foot, so
-                # its rewrite, unsound or no better than the best
-                # foot-deleting plan, already lost above
-                violations += 1
-    return played * len(plans), played * n, violations, first

@@ -11,10 +11,11 @@ of deletion orders: the paper's reference definition.
 Every deletion count at once comes from one fact about those kept sets:
 each one of ``xs + c`` either skips ``c`` or ends with it, and appending
 ``c`` to candidates of equal length keeps their order, so the best with
-m kept is ``max(best_m(xs), best_{m-1}(xs) + c)``.  :func:`each_all_k`
-grows every answer that way from its prefix's, which a stream of
-sequences in odometer order shares almost whole.  These solvers exist to
-be trusted, not to be fast; the other engines are checked against them.
+k deleted is ``max(best_{k-1}(xs), best_k(xs) + c)``.  :func:`each_all_k`
+grows every answer that way from its prefix's through
+:func:`dropk.core.grow_rows`, which a stream of sequences in odometer
+order shares almost whole.  These solvers exist to be trusted, not to be
+fast; the other engines are checked against them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import S, check_deletion_count, drops, max_lex, rebuild, shared_prefix
+from .core import S, check_deletion_count, drops, grow_rows, max_lex, rebuild
 
 
 def step(xss: Sequence[S]) -> list[S]:
@@ -78,30 +79,20 @@ def each_all_k(seqs: Iterable[S]) -> Iterator[tuple[S, list[S]]]:
     """``(xs, solve_naive_all_k(xs))`` for every ``xs`` of ``seqs``, in
     order, with the work on a shared prefix done once.
 
-    ``rows[d][m]`` is the best subsequence of m elements of the current
-    sequence's first d.  A new sequence keeps the rows of the prefix it
-    shares with the previous one, compared element by element with
-    ``==``, and extends them one element at a time by the recurrence in
-    the module docstring.  Sequences in any order, of str, tuple and
-    list kinds mixed, get the right answers; neighbours that share long
-    prefixes, as :func:`dropk.core.sequences` yields them, get them
-    fastest.  For list input an answer may share objects with later
-    answers, so mutating one can change another.
+    The answers are the rows of :func:`dropk.core.grow_rows`: row d
+    holds, at index k, the best subsequence of the sequence's first d
+    elements with k of them deleted, and :func:`_drop_row` extends it by
+    the recurrence in the module docstring.  Sequences in any order, of
+    str, tuple and list kinds mixed, get the right answers; neighbours
+    that share long prefixes, as :func:`dropk.core.sequences` yields
+    them, get them fastest.  A yielded answer is a row that later
+    answers are grown from, so it must not be mutated.
     """
-    rows: list[list] = []
-    prev = None
-    for xs in seqs:
-        shared = shared_prefix(prev, xs)
-        if shared:
-            del rows[shared + 1 :]
-        else:
-            rows = [[xs[:0]]]
-        for d in range(shared, len(xs)):
-            row, c = rows[d], xs[d : d + 1]
-            rows.append(
-                [row[0]]
-                + [max(row[m], row[m - 1] + c) for m in range(1, d + 1)]
-                + [row[d] + c]
-            )
-        prev = xs
-        yield xs, rows[-1][::-1]
+    return grow_rows(seqs, _drop_row)
+
+
+def _drop_row(row: list[S], c: S) -> list[S]:
+    # with k deleted from xs + c, either c is one of the k or it follows
+    # the best of xs with k deleted
+    best = [max(row[k - 1], row[k] + c) for k in range(1, len(row))]
+    return [row[0] + c, *best, row[-1]]

@@ -21,9 +21,10 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
     for every deletion count.
 
     The naive column comes from :func:`dropk.oracle.each_all_k`, which
-    grows each sequence's answers from those of the prefix it shares
-    with the sequence before; the sweep's odometer order shares all but
-    about one and a half trailing elements.
+    grows each sequence's answers through :func:`dropk.core.grow_rows`
+    from those of the prefix it shares with the sequence before; the
+    sweep's odometer order shares all but about one and a half trailing
+    elements.
 
     The greedy column reads the paper's recursion from its far end:
     ``solve_greedy(k, xs) == solve_greedy(k - 1, gstep(xs))``, so the

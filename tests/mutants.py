@@ -78,20 +78,25 @@ MUTANTS = [
            "tokens = sorted(set(alphabet), reverse=True)", "sequences out of order"),
     Mutant("src/dropk/greedy.py", "    for _ in range(k):", "    for _ in range(min(k, 1)):",
            "solve_greedy steps at most once"),
+    # the prefix rows shared by the naive oracle and the game
+    Mutant("src/dropk/core.py", "del rows[shared + 1 :]", "del rows[shared + 2 :]",
+           "prefix rows keep one stale row"),
+    Mutant("src/dropk/core.py", "        if type(xs) is type(prev):",
+           "        if prev is not None:", "shared prefix across sequence kinds"),
+    Mutant("src/dropk/core.py", "        if shared:", "        if True:",
+           "prefix rows kept when nothing is shared"),
     # the prefix-shared naive oracle
-    Mutant("src/dropk/oracle.py", "max(row[m], row[m - 1] + c)", "min(row[m], row[m - 1] + c)",
+    Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)", "min(row[k - 1], row[k] + c)",
            "oracle keeps the worse candidate"),
-    Mutant("src/dropk/oracle.py", "max(row[m], row[m - 1] + c)", "max(row[m], row[m] + c)",
-           "oracle extends the wrong row entry"),
-    Mutant("src/dropk/oracle.py", "del rows[shared + 1 :]", "del rows[shared + 2 :]",
-           "oracle keeps one stale row"),
-    Mutant("src/dropk/core.py", "    if type(xs) is type(prev):", "    if prev is not None:",
-           "shared prefix across sequence kinds"),
+    Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)",
+           "max(row[k - 1], row[k - 1] + c)", "oracle extends the wrong row entry"),
     # the exchange game
     Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
            "game pick reads bit i as deleted"),
-    Mutant("src/dropk/greedy_condition.py", "del rows[shared + 1 :]", "del rows[shared + 2 :]",
-           "game keeps one stale row of subsequences"),
+    Mutant("src/dropk/greedy_condition.py", "return row + [r + c for r in row]",
+           "return [r + c for r in row] + row", "game's subsequence halves swapped"),
+    Mutant("src/dropk/greedy_condition.py", "maxima_checks += n", "maxima_checks += 1",
+           "game counts one maxima check per sequence"),
     Mutant("src/dropk/greedy_condition.py", "a in index and sum(a) == sum(actions) and ",
            "a in index and ", "sound ignores the deletion count"),
     Mutant("src/dropk/greedy_condition.py", "sum(a) == sum(actions) and bool(a[foot])",

@@ -105,10 +105,12 @@ class TestSolve:
     def test_file_not_utf8_is_a_usage_error(self, capsys, tmp_path):
         source = tmp_path / "bad.txt"
         source.write_bytes(b"\xff\xfe12")
+        # a positional argument's bad bytes arrive as lone surrogates
         for command in ("solve", "trace"):
-            code, out, err = run(capsys, command, "--k", "1", "--file", str(source))
-            assert code == 2 and out == ""
-            assert err.startswith("error: ") and "not valid UTF-8" in err
+            for given in (["--file", str(source)], ["1\udcff9"]):
+                code, out, err = run(capsys, command, "--k", "1", *given)
+                assert code == 2 and out == ""
+                assert err.startswith("error: ") and "not valid UTF-8" in err
 
     def test_negative_k_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import pytest
 
 import dropk.greedy_condition
 from conftest import all_sequences
-from dropk.core import lex_le, sequences
+from dropk.core import grow_rows, lex_le, sequences
 from dropk.greedy import gstep
 from dropk.greedy_condition import (
     DEL,
@@ -13,7 +13,7 @@ from dropk.greedy_condition import (
     DelPlan,
     FootWitness,
     VerifyReport,
-    _each_subsequences,
+    _double_row,
     _game_table,
     _getter,
     _round,
@@ -422,7 +422,7 @@ class TestVerifyGreedyCondition:
         # result name its plan, so the picks must take the right ones
         plans, pick, rows = _game_table(n)
         assert plans == [p.actions for d in range(1, n + 1) for p in enumerate_plans(d, n)]
-        for xs, subs in _each_subsequences(["31425"[:n], tuple(range(n))]):
+        for xs, subs in grow_rows(["31425"[:n], tuple(range(n))], _double_row):
             adversary = pick(subs)
             assert list(adversary) == [apply_plan(xs, DelPlan(a)) for a in plans]
             for foot, (altered, sound, ours_get, maxima) in enumerate(rows):
@@ -444,7 +444,7 @@ class TestVerifyGreedyCondition:
         # bit i of the index keeps position i, after a neighbour that
         # shares a prefix, one that shares none and one of another kind
         seen = []
-        for xs, subs in _each_subsequences(stream):
+        for xs, subs in grow_rows(stream, _double_row):
             seen.append(xs)
             n = len(xs)
             assert len(subs) == 2**n

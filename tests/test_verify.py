@@ -10,9 +10,13 @@ from dropk.verify import equivalence_sweep, mono_aux_sweep
 
 @pytest.mark.parametrize("sweep", [equivalence_sweep, verify_greedy_condition, mono_aux_sweep])
 def test_empty_alphabet_raises(sweep):
-    # a sweep over no tokens checks nothing, so it must not pass
+    # a sweep over no tokens, or over no lengths, checks nothing, so it
+    # must not pass
     with pytest.raises(ValueError, match="alphabet must be nonempty"):
         sweep(3, "")
+    shortest = 0 if sweep is equivalence_sweep else 1
+    with pytest.raises(ValueError, match="max_len must be >= "):
+        sweep(shortest - 1, "12")
 
 
 @pytest.mark.parametrize("step", [
