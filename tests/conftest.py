@@ -1,5 +1,7 @@
 from itertools import combinations, product
 
+from dropk.core import drops
+
 # ASCII, Latin-1, BMP, astral and lone surrogate characters, drawn often
 # enough to repeat (st.characters() never draws a surrogate)
 MIXED_CHARS = "09az\u00e9\u00ff\u4e2d\U00010000\U0001f600\ud800\udcff\udfff"
@@ -23,3 +25,31 @@ def deleted_subsequences(xs, k):
 def is_subsequence(sub, xs):
     it = iter(xs)
     return all(c in it for c in sub)
+
+
+# The paper's specification: delete one element at a time, in every
+# order, keeping the whole multiset of candidates, and take the maximum.
+# The solvers in dropk.oracle must agree with it; nothing in dropk runs it.
+
+
+def step(xss):
+    """One more deletion applied to every candidate.
+
+    Concatenates ``drops(c)`` for each candidate in order; duplicates are
+    kept.  An empty candidate raises, via :func:`dropk.core.drops`.
+    """
+    out = []
+    for c in xss:
+        out.extend(drops(c))
+    return out
+
+
+def spec_all_k(xs):
+    """The largest candidate after every round of :func:`step`, for
+    k = 0..len(xs): one cascade of n*(n-1)*...*(n-k+1) candidates
+    serves every deletion count."""
+    best, frontier = [xs], [xs]
+    for _ in range(len(xs)):
+        frontier = step(frontier)
+        best.append(max(frontier))
+    return best

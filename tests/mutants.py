@@ -15,9 +15,19 @@ list cannot rot silently; otherwise 0.
 pytest does not collect this file (it is not named ``test_*.py``), so
 tier-1 itself runs no mutant.
 
-Left out because it is equivalent, not because it survives:
-``check_mono_aux`` returning ``True`` is right under its own
-preconditions (x at least the head of the tail).
+Left out because they are equivalent, not because they survive:
+
+- ``check_mono_aux`` returning ``True`` is right under its own
+  preconditions (x at least the head of the tail).
+- ``_TOP_CODE`` 0x110000 -> 0x110001: both lie above every code point.
+- ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
+  comes first, and the length switch it then makes only swaps in row
+  maps that are still empty.
+- ``length < max_len`` -> ``<=`` in ``equivalence_sweep``: it keeps rows
+  nobody reads, so only memory changes.
+- ``k < 0 or n < 0`` -> ``and`` in ``enumerate_plans``: a negative count
+  still raises ``ValueError``, from ``k > n`` or from
+  ``itertools.combinations``.
 """
 
 from __future__ import annotations
@@ -63,6 +73,34 @@ MUTANTS = [
            "verify's equivalence sweep skips its longest length"),
     Mutant("src/dropk/cli.py", "    print(linear.solve_linear(args.k, text))",
            "    print(text)", "dropk trace prints the input as its answer"),
+    # the CLI's required options and caps
+    Mutant("src/dropk/cli.py", 'add_subparsers(dest="command", required=True)',
+           'add_subparsers(dest="command", required=False)', "subcommand optional"),
+    Mutant("src/dropk/cli.py", 'solve.add_argument("--k", type=_nonneg_int, required=True',
+           'solve.add_argument("--k", type=_nonneg_int, required=False', "solve --k optional"),
+    Mutant("src/dropk/cli.py", 'trace.add_argument("--k", type=_nonneg_int, required=True',
+           'trace.add_argument("--k", type=_nonneg_int, required=False', "trace --k optional"),
+    Mutant("src/dropk/cli.py", 'add_argument("--max-len", type=_nonneg_int, required=True',
+           'add_argument("--max-len", type=_nonneg_int, required=False',
+           "verify --max-len optional"),
+    Mutant("src/dropk/cli.py", 'add_argument("--alphabet", required=True',
+           'add_argument("--alphabet", required=False', "verify --alphabet optional"),
+    Mutant("src/dropk/cli.py", "GAME_MAX_LEN = 7", "GAME_MAX_LEN = 8", "game cap one longer"),
+    Mutant("src/dropk/cli.py", "AUX_MAX_LEN = 6", "AUX_MAX_LEN = 7",
+           "prefix-dominance cap one longer"),
+    Mutant("src/dropk/cli.py", "args.k > NAIVE_MAX_K", "args.k >= NAIVE_MAX_K",
+           "naive engine refuses its largest k"),
+    Mutant("src/dropk/cli.py", "args.max_len > EQUIV_MAX_LEN", "args.max_len >= EQUIV_MAX_LEN",
+           "verify refuses its largest --max-len"),
+    # the counts the sweeps and the CLI report
+    Mutant("src/dropk/verify.py", "mismatches += 1", "mismatches += 2",
+           "equivalence sweep counts a mismatch twice"),
+    Mutant("src/dropk/verify.py", "violations += 1", "violations += 2",
+           "aux sweep counts a violation twice"),
+    Mutant("src/dropk/verify.py", "return VerifyReport(cases, 0, violations, first)",
+           "return VerifyReport(cases, 1, violations, first)", "aux sweep reports a maxima check"),
+    Mutant("src/dropk/cli.py", "        bad += 1\n", "        bad += 2\n",
+           "a missing better-global counterexample counts twice"),
     # the scan
     Mutant("src/dropk/linear.py", "return stack, xs, len(stack) - 1 + budget, 0",
            "return stack, xs, len(stack) + budget, 0", "scan's early-exit consumed count"),
@@ -90,6 +128,11 @@ MUTANTS = [
            "oracle keeps the worse candidate"),
     Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)",
            "max(row[k - 1], row[k - 1] + c)", "oracle extends the wrong row entry"),
+    # the foot witness
+    Mutant("src/dropk/greedy_condition.py", "not 0 <= self.index < len(xs)",
+           "not 0 <= self.index <= len(xs)", "witness index may be one past the end"),
+    Mutant("src/dropk/greedy_condition.py", "xs[self.index] < xs[self.index + 1]",
+           "xs[self.index] <= xs[self.index + 1]", "witness foot may precede an equal element"),
     # the exchange game
     Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
            "game pick reads bit i as deleted"),

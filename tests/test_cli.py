@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import dropk.greedy
 import dropk.greedy_condition
 import dropk.verify
 from dropk.cli import main
+from dropk.greedy_condition import VerifyReport
 
 
 def run(capsys, *argv):
@@ -78,6 +80,10 @@ class TestSolve:
     def test_naive_within_guard(self, capsys):
         code, out, _ = run(capsys, "solve", "--k", "3", "--algo", "naive", "6782334")
         assert code == 0 and out == "8334\n"
+        # both limits at once
+        code, out, _ = run(capsys, "solve", "--k", "6", "--algo", "naive",
+                           "61803398874989484820")
+        assert code == 0 and out == "98874989484820\n"
 
     def test_naive_merges_duplicate_candidates(self, capsys):
         # one candidate per kept set: C(20, 5) = 15,504, where every deletion
@@ -149,9 +155,31 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-len", "10", "--alphabet", "abc")
         assert code == 2 and "capped" in err
 
+    @pytest.mark.parametrize("max_len", [6, 7, 8, 9])
+    def test_sweep_lengths(self, capsys, monkeypatch, max_len):
+        # the sweeps only record their lengths, so no long sweep runs
+        lengths = []
+
+        def recorded(n, alphabet):
+            lengths.append(n)
+            return VerifyReport(1, 0, 0, None)
+
+        monkeypatch.setattr(dropk.verify, "equivalence_sweep", recorded)
+        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", recorded)
+        monkeypatch.setattr(dropk.verify, "mono_aux_sweep", recorded)
+        code, out, _ = run(capsys, "verify", "--max-len", str(max_len), "--alphabet", "123")
+        assert code == 0 and out.endswith("result: all checks passed\n")
+        assert lengths == [max_len, min(max_len, 7), min(max_len, 6)]
+
     def test_alphabet_must_be_distinct(self, capsys):
         code, _, err = run(capsys, "verify", "--max-len", "2", "--alphabet", "aab")
         assert code == 2 and "distinct" in err
+
+    # over "ab" up to length 3 a broken engine misses every case with
+    # k > 0, 34 of 49; the identity rewrite loses 28 of the game's 70
+    # cases, and the rejecting helper all 21 of its own
+    PROBLEMS = {"solve_linear": 34, "solve_greedy": 34, "each_all_k": 34,
+                "_alter": 28, "check_mono_aux": 21}
 
     @pytest.mark.parametrize("module, name, broken, first", [
         # the linear engine keeps everything: the equivalence sweep disagrees
@@ -173,7 +201,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
         assert code == 1
         assert any(line.startswith(first) for line in out.splitlines())
-        assert out.splitlines()[-1].endswith(" problems found")
+        assert out.splitlines()[-1] == f"result: {self.PROBLEMS[name]} problems found"
+
+    def test_missing_better_global_counterexample_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(dropk.greedy, "better_global_counterexample", lambda a, b: None)
+        code, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert code == 1
+        lines = out.splitlines()
+        assert "better-global principle: counterexample NOT found (one was expected)" in lines
+        assert lines[-1] == "result: 1 problems found"
 
     def test_listed_rewrite_plays_like_the_tuple_one(self, capsys, monkeypatch):
         # a rewrite is judged by its positions, not hashed as it comes
@@ -198,6 +234,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
         assert code == 1
         assert "first counterexample: xs='11' plan=dd altered=kd" in out
+        assert out.splitlines()[-1] == "result: 9 problems found"
 
     def test_lost_deletion_exits_1(self, capsys, monkeypatch):
         # a rewrite that keeps its first deletion off the foot still deletes
@@ -215,6 +252,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
         assert code == 1
         assert "first counterexample: xs='11' plan=dd altered=kd" in out
+        assert out.splitlines()[-1] == "result: 9 problems found"
 
 
 class TestTrace:
@@ -264,6 +302,20 @@ class TestTrace:
         for given in (["19"], ["--file", str(source)]):
             code, out, err = run(capsys, "trace", "--k", "3", *given)
             assert code == 2 and out == "" and "cannot drop more" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve", "123"],
+    ["trace", "123"],
+    ["verify", "--alphabet", "123"],
+    ["verify", "--max-len", "3"],
+])
+def test_missing_required_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_dataclasses_out():

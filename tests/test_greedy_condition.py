@@ -190,6 +190,9 @@ class TestFootWitness:
         assert not FootWitness(5, 7).valid_for("8766678")  # past the foot
         assert not FootWitness(4, 6).valid_for("8766678")  # wrong length
         assert not FootWitness(9, 7).valid_for("8766678")  # out of range
+        assert not FootWitness(7, 7).valid_for("8766678")  # one past the end
+        assert not FootWitness(3, 3).valid_for("321")  # one past a descent
+        assert not FootWitness(0, 3).valid_for("112")  # an equal neighbour follows
 
     def test_canonical_witness_always_valid(self):
         for xs in all_sequences("abc", 6, 1):

@@ -70,7 +70,7 @@ class TestGsolve:
             for ys in all_sequences("abc", 3):
                 whole = ds + ys
                 for k in range(len(whole) + 1):
-                    expected = solve_naive(k, whole, dedupe=True)
+                    expected = solve_naive(k, whole)
                     assert gsolve(k, ds[::-1], ys) == expected
                     assert_kept_prefix_descends(k, whole)
 
@@ -99,7 +99,7 @@ class TestSolveLinear:
 
     def test_agrees_with_other_engines(self):
         for xs in all_sequences("abc", 6):
-            expected = solve_naive_all_k(xs, dedupe=True)
+            expected = solve_naive_all_k(xs)
             for k in range(len(xs) + 1):
                 got = solve_linear(k, xs)
                 assert got == expected[k] == solve_greedy(k, xs)

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from conftest import all_sequences, deleted_subsequences, is_subsequence
+from conftest import all_sequences, deleted_subsequences, is_subsequence, spec_all_k, step
 from dropk.core import sequences
-from dropk.oracle import each_all_k, solve_naive, solve_naive_all_k, step
+from dropk.oracle import each_all_k, solve_naive, solve_naive_all_k
 
 
 def candidates(k, xs):
@@ -55,11 +55,14 @@ class TestSolveNaive:
         with pytest.raises(ValueError, match="cannot drop more"):
             solve_naive(4, "abc")
 
-    def test_dedupe_does_not_change_the_answer(self):
+    def test_matches_the_multiset_specification(self):
+        # one cascade of every deletion order per sequence serves every k
         for word in all_sequences("abc", 6, 1):
             for xs in (word, tuple(word), list(word)):
+                expected = spec_all_k(xs)
+                assert solve_naive_all_k(xs) == expected
                 for k in range(len(xs) + 1):
-                    assert solve_naive(k, xs, dedupe=False) == solve_naive(k, xs)
+                    assert solve_naive(k, xs) == expected[k]
 
     def test_merges_duplicates_by_default(self):
         # the multiset would hold 1,860,480 candidates after five rounds
@@ -107,14 +110,20 @@ class TestSolveNaive:
 class TestSolveNaiveAllK:
     def test_matches_per_k_calls(self):
         for xs in all_sequences("abc", 5):
-            for dedupe in (False, True):
-                everything = solve_naive_all_k(xs, dedupe=dedupe)
-                assert len(everything) == len(xs) + 1
-                for k, expected in enumerate(everything):
-                    assert expected == solve_naive(k, xs)
+            everything = solve_naive_all_k(xs)
+            assert len(everything) == len(xs) + 1
+            for k, expected in enumerate(everything):
+                assert expected == solve_naive(k, xs)
 
     def test_empty_input(self):
         assert solve_naive_all_k("") == [""]
+
+    def test_rows_are_the_one_path(self):
+        # the multiset cascade is a test oracle, conftest.spec_all_k
+        with pytest.raises(ValueError, match="tests/conftest.py"):
+            solve_naive_all_k("ab", dedupe=False)
+        with pytest.raises(TypeError):
+            solve_naive(1, "ab", dedupe=True)
 
     def test_dedupe_keeps_lists(self):
         for xs in all_sequences("abc", 5):
@@ -123,7 +132,7 @@ class TestSolveNaiveAllK:
             assert everything == solve_naive_all_k(xs)
             assert all(type(best) is list for best in everything)
             for k, expected in enumerate(everything):
-                best = solve_naive(k, xs, dedupe=True)
+                best = solve_naive(k, xs)
                 assert type(best) is list and best == expected
 
     def test_unhashable_elements(self):
@@ -132,7 +141,7 @@ class TestSolveNaiveAllK:
         for xs in (([1], [3], [2]), [[1], [3], [2]]):
             assert solve_naive(1, xs) == xs[1:]
             everything = solve_naive_all_k(xs)
-            assert everything == solve_naive_all_k(xs, dedupe=False)
+            assert everything == spec_all_k(xs)
             assert everything == [xs, xs[1:], xs[1:2], xs[:0]]
             assert all(type(best) is type(xs) for best in everything)
 

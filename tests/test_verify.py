@@ -28,7 +28,8 @@ def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
     # step must show up in the greedy column alone
     monkeypatch.setattr(dropk.greedy, "gstep", step)
     report = equivalence_sweep(4, "123")
-    assert report.violations > 0
+    # mismatches by how many elements the broken step deletes
+    assert report.violations == {1: 205, 2: 371}[4 - len(step("1234"))]
     naive, greedy, linear = re.fullmatch(
         r"xs=\S+ k=\d+: naive=(\S+) greedy=(\S+) linear=(\S+)", report.first_counterexample
     ).groups()
@@ -49,6 +50,10 @@ def test_greedy_column_takes_one_step_per_sequence(monkeypatch):
     monkeypatch.setattr(dropk.verify, "solve_greedy", counted)
     assert equivalence_sweep(6, "123") == VerifyReport(7108, 0, 0, None)
     assert calls == 1092
+
+
+def test_mono_aux_sweep_counts_no_maxima():
+    assert mono_aux_sweep(4, "123") == VerifyReport(240, 0, 0, None)
 
 
 @pytest.mark.parametrize("max_len, alphabet", [
