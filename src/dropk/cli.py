@@ -1,12 +1,14 @@
 """Command line front end: solve, verify and trace.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a violation,
-2 on usage or precondition errors.
+2 on usage or precondition errors, 141 (128 + SIGPIPE) when the reader
+closes standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -184,10 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at
+        # interpreter shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

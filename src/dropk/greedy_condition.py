@@ -4,10 +4,10 @@
 deletes d >= 1 elements of a sequence, the plan can be rewritten so that
 it deletes the hill foot while producing a result at least as large.
 This module makes that argument executable.  Plans are per-position
-keep/delete instructions and ``alter`` is the rewriting strategy.  One
-unchecked ``_round`` plays a round; ``check_mono`` and ``check_unfoot``
-validate once and ask it.  A round is won when the rewrite deletes the
-foot, keeps the opponent's deletion count and gives a result no smaller.
+keep/delete instructions and ``alter`` is the rewriting strategy;
+``check_mono`` and ``check_unfoot`` play one round through it.  A round
+is won when the rewrite deletes the foot, keeps the opponent's deletion
+count and gives a result no smaller.
 
 ``verify_greedy_condition`` plays every round up to a given length and
 reports any violation instead of raising.  The rewrite depends only on
@@ -94,11 +94,7 @@ def apply_plan(xs, plan: DelPlan):
     """Carry out the instructions: drop the DEL positions, keep the rest."""
     if plan.base_length != len(xs):
         raise ValueError("plan targets a different length")
-    return _apply(xs, plan.actions)
-
-
-def _apply(xs, actions: tuple[bool, ...]):
-    return rebuild(xs, compress(xs, map(not_, actions)))
+    return rebuild(xs, compress(xs, map(not_, plan.actions)))
 
 
 def delfoot(witness: FootWitness) -> DelPlan:
@@ -118,17 +114,13 @@ def alter(plan: DelPlan, witness: FootWitness) -> DelPlan:
     otherwise the last deletion must be saved for the foot, so this
     position is kept instead.  The deletion count is always preserved.
     """
-    _require_round(plan, witness)
-    return DelPlan(_alter(plan.actions, witness.index))
-
-
-def _require_round(plan: DelPlan, witness: FootWitness) -> None:
     if plan.base_length != witness.target_length:
         raise ValueError("plan and witness target different lengths")
     if not 0 <= witness.index < plan.base_length:
         raise ValueError("witness index out of range")
     if plan.deletions == 0:
         raise ValueError("plan must delete at least one element")
+    return DelPlan(_alter(plan.actions, witness.index))
 
 
 def _alter(actions: tuple[bool, ...], foot: int) -> tuple[bool, ...]:
@@ -155,13 +147,6 @@ def _alter(actions: tuple[bool, ...], foot: int) -> tuple[bool, ...]:
     return tuple(out)
 
 
-def _round(xs, actions: tuple[bool, ...], foot: int):
-    """One round, unchecked, of a plan that fits ``xs`` and deletes at
-    least once: the opponent's result, the rewrite and its result."""
-    altered = _alter(actions, foot)
-    return _apply(xs, actions), altered, _apply(xs, altered)
-
-
 def _require_witness(xs, witness: FootWitness) -> None:
     if not witness.valid_for(xs):
         raise ValueError("witness does not match the sequence")
@@ -171,17 +156,14 @@ def check_mono(xs, plan: DelPlan, witness: FootWitness) -> bool:
     """Does the rewritten plan produce a result no smaller than the
     opponent's?"""
     _require_witness(xs, witness)
-    _require_round(plan, witness)
-    adversary, _, ours = _round(xs, plan.actions, witness.index)
-    return lex_le(adversary, ours)
+    ours = alter(plan, witness)
+    return lex_le(apply_plan(xs, plan), apply_plan(xs, ours))
 
 
 def check_unfoot(xs, plan: DelPlan, witness: FootWitness) -> bool:
     """Does the rewritten plan delete the hill foot?"""
     _require_witness(xs, witness)
-    _require_round(plan, witness)
-    _, altered, _ = _round(xs, plan.actions, witness.index)
-    return altered[witness.index]
+    return alter(plan, witness).actions[witness.index]
 
 
 def check_mono_aux(x, tail, witness: FootWitness) -> bool:

@@ -81,7 +81,9 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     return stack, xs, len(xs), k
 
 
-def _solve(k: int, xs: S) -> S:
+def solve_linear(k: int, xs: S) -> S:
+    """Largest remainder after ``k`` deletions, in one O(n + k) scan."""
+    check_deletion_count(k, xs)
     stack, scanned, consumed, k_left = _scan(k, xs)
     if k_left:
         del stack[len(stack) - k_left :]
@@ -104,15 +106,7 @@ def gsolve(k: int, acc: S, rest: S) -> S:
     """
     if type(acc) is not type(rest):
         raise ValueError("acc and rest must be the same type of sequence")
-    whole = acc[::-1] + rest
-    check_deletion_count(k, whole)
-    return _solve(k, whole)
-
-
-def solve_linear(k: int, xs: S) -> S:
-    """Largest remainder after ``k`` deletions, in one O(n + k) scan."""
-    check_deletion_count(k, xs)
-    return _solve(k, xs)
+    return solve_linear(k, acc[::-1] + rest)
 
 
 def count_steps(k: int, xs: S) -> int:

@@ -112,6 +112,8 @@ MUTANTS = [
            "strict UTF-32 codec"),
     Mutant("src/dropk/linear.py", "    if type(acc) is not type(rest):", "    if False:",
            "gsolve takes mixed kinds"),
+    Mutant("src/dropk/linear.py", "solve_linear(k, acc[::-1] + rest)", "solve_linear(k, acc + rest)",
+           "gsolve keeps acc newest-first"),
     Mutant("src/dropk/core.py", "tokens = sorted(set(alphabet))",
            "tokens = sorted(set(alphabet), reverse=True)", "sequences out of order"),
     Mutant("src/dropk/greedy.py", "    for _ in range(k):", "    for _ in range(min(k, 1)):",
@@ -133,6 +135,12 @@ MUTANTS = [
            "not 0 <= self.index <= len(xs)", "witness index may be one past the end"),
     Mutant("src/dropk/greedy_condition.py", "xs[self.index] < xs[self.index + 1]",
            "xs[self.index] <= xs[self.index + 1]", "witness foot may precede an equal element"),
+    # the checkers
+    Mutant("src/dropk/greedy_condition.py",
+           "return lex_le(apply_plan(xs, plan), apply_plan(xs, ours))", "return True",
+           "check_mono always passes"),
+    Mutant("src/dropk/greedy_condition.py", "return alter(plan, witness).actions[witness.index]",
+           "return bool(alter(plan, witness))", "check_unfoot always passes"),
     # the exchange game
     Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
            "game pick reads bit i as deleted"),

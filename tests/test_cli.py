@@ -303,6 +303,23 @@ class TestTrace:
             code, out, err = run(capsys, "trace", "--k", "3", *given)
             assert code == 2 and out == "" and "cannot drop more" in err
 
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        # more output than a pipe buffer holds, so the writes outlive the
+        # reader
+        source = tmp_path / "ones.txt"
+        source.write_text("1" * 20_000, encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dropk", "trace", "--k", "1", "--file", str(source)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"k=1 i=0 depth=0 PUSH '1'\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
 
 @pytest.mark.parametrize("argv", [
     [],

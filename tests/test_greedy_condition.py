@@ -16,7 +16,6 @@ from dropk.greedy_condition import (
     _double_row,
     _game_table,
     _getter,
-    _round,
     alter,
     apply_plan,
     check_mono,
@@ -62,8 +61,8 @@ def alter_recursive(actions, foot):
 
 def loop_verify_greedy_condition(max_len, alphabet):
     """The per-round loop that the table game replaced, kept as its
-    oracle.  It plays each round through ``_round``, which looks
-    ``_alter`` up at call time, so it sees a patched rewrite too."""
+    oracle.  It plays each round through ``_alter``, looked up at call
+    time, and :func:`apply_plan`, so it sees a patched rewrite too."""
     cases = maxima_checks = violations = 0
     first = None
     for n in range(1, max_len + 1):
@@ -73,7 +72,9 @@ def loop_verify_greedy_condition(max_len, alphabet):
             for d in range(1, n + 1):
                 best_any = best_foot = None
                 for actions in actions_by_count[d]:
-                    adversary, altered, ours = _round(xs, actions, foot)
+                    altered = dropk.greedy_condition._alter(actions, foot)
+                    adversary = apply_plan(xs, DelPlan(actions))
+                    ours = apply_plan(xs, DelPlan(altered))
                     cases += 1
                     if not (lex_le(adversary, ours) and altered[foot] and sum(altered) == d):
                         violations += 1
@@ -308,6 +309,16 @@ class TestCheckers:
         w = foot_witness("19")
         assert check_mono("19", plan("dk"), w)
         assert check_unfoot("19", plan("dk"), w)
+
+    def test_a_losing_rewrite_fails_the_checks(self, monkeypatch):
+        w = foot_witness("19")
+        real = dropk.greedy_condition._alter
+        monkeypatch.setattr(dropk.greedy_condition, "_alter", identity_rewrite(real))
+        # the opponent's plan kept the foot, and so does its rewrite
+        assert check_unfoot("19", plan("kd"), w) is False
+        monkeypatch.setattr(dropk.greedy_condition, "_alter", lambda a, f: a[::-1])
+        # "dk" turns into "kd": "1" is smaller than the opponent's "9"
+        assert check_mono("19", plan("dk"), w) is False
 
     def test_invalid_witness_rejected(self):
         with pytest.raises(ValueError, match="witness"):
