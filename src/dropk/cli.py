@@ -1,8 +1,8 @@
 """Command line front end: solve, verify and trace.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a violation,
-2 on usage or precondition errors, 141 (128 + SIGPIPE) when the reader
-closes standard output early.
+2 on usage or precondition errors and on output stdout cannot take, 141
+(128 + SIGPIPE) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -197,6 +197,12 @@ def main(argv=None) -> int:
         # interpreter shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (UnicodeEncodeError, OSError) as exc:
+        # stdout cannot take the output (a character its encoding lacks,
+        # a full disk): the same devnull, then a usage-style exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,14 +75,9 @@ class FootWitness(NamedTuple):
     target_length: int
 
     def valid_for(self, xs: Sequence) -> bool:
-        """Clause check against a concrete sequence: weakly descending up
-        to the index, then either the end or a strict rise."""
-        if self.target_length != len(xs) or not 0 <= self.index < len(xs):
-            return False
-        for j in range(self.index):
-            if xs[j] < xs[j + 1]:
-                return False
-        return self.index == len(xs) - 1 or xs[self.index] < xs[self.index + 1]
+        """Is ``xs`` nonempty, of the claimed length, and is the claimed
+        index the one :func:`dropk.greedy.hill_foot` finds?"""
+        return self.target_length == len(xs) > 0 and self.index == hill_foot(xs)
 
 
 def foot_witness(xs: Sequence) -> FootWitness:
@@ -212,52 +207,50 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     foot, keep all d deletions and weakly dominate the opponent's.  The
     best foot-deleting plan must also dominate the best unrestricted
     plan; those maxima come straight from the opponents' results, so a
-    wrong rewrite cannot hide a broken claim.  Violations are collected
-    as data, never raised.
+    wrong rewrite cannot hide a broken claim.  Violations are counted,
+    never raised; only an empty alphabet or ``max_len < 1`` raises
+    ``ValueError``.
 
     A rewrite depends only on the plan and the foot, never on the
-    sequence, so each length is played from a table built once, at call
-    time, through ``_alter``: per foot, every plan's rewrite.  A sound
-    rewrite is itself one of the d-deletion plans, so its result is
-    already among the opponents' results.  Every subsequence of a
-    sequence is grown once, as the sequence's own kind, by
-    :func:`dropk.core.grow_rows`, from those of the prefix it shares with
-    the sequence before.  A sequence then costs one pick of every plan's
-    result, one pick of the sound rewrites' results, one
-    ``sum(map(lt, ...))`` over all its rounds, and a max of all and of
-    the foot-deleting results per d.  A rewrite that is
-    not a plan of d deletions over the same length, or that keeps the
-    foot, is left out of the pick: it loses on every sequence.
+    sequence, so each length is played from a table built through
+    ``_alter`` when the one :func:`dropk.core.sequences` stream reaches
+    it: per foot, every plan's rewrite.  A sound rewrite is itself one
+    of the d-deletion plans, so its result is already among the
+    opponents' results.  Every subsequence of a sequence is grown once,
+    as the sequence's own kind, by :func:`dropk.core.grow_rows`, from
+    those of the prefix it shares with the sequence before.  A sequence
+    then costs one pick of every plan's result, one pick of the sound
+    rewrites' results, one ``sum(map(lt, ...))`` over all its rounds,
+    and a max of all and of the foot-deleting results per d.  A rewrite
+    that is not a plan of d deletions over the same length, or that
+    keeps the foot, is left out of the pick: it loses on every sequence.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-
-    cases = maxima_checks = violations = 0
+    cases = maxima_checks = violations = n = 0
     first: str | None = None
-    for n in range(1, max_len + 1):
-        plans, pick, rows = _game_table(n)
-        for xs, subs in grow_rows(sequences(alphabet, n, n), _double_row):
-            altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
-            adversary = pick(subs)
-            ours = ours_get(adversary)
-            cases += len(plans)
-            maxima_checks += n
-            lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
-            if lost:
-                violations += lost
-                if first is None:
-                    # the first plan whose rewrite is unsound or loses on value
-                    ours_iter = iter(ours)
-                    i = next(i for i, ok in enumerate(sound)
-                             if not ok or next(ours_iter) < adversary[i])
-                    first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
-            for span, deletes_foot in maxima:
-                results = adversary[span]
-                if max(compress(results, deletes_foot)) < max(results):
-                    # no message: a plan reaching the best keeps the foot, so
-                    # its rewrite, unsound or no better than the best
-                    # foot-deleting plan, already lost above
-                    violations += 1
+    for xs, subs in grow_rows(sequences(alphabet, max_len, 1), _double_row):
+        if len(xs) != n:
+            n = len(xs)
+            plans, pick, rows = _game_table(n)
+        altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
+        adversary = pick(subs)
+        ours = ours_get(adversary)
+        cases += len(plans)
+        maxima_checks += n
+        lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
+        if lost:
+            violations += lost
+            if first is None:
+                # the first plan whose rewrite is unsound or loses on value
+                ours_iter = iter(ours)
+                i = next(i for i, ok in enumerate(sound)
+                         if not ok or next(ours_iter) < adversary[i])
+                first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
+        for span, deletes_foot in maxima:
+            results = adversary[span]
+            if max(compress(results, deletes_foot)) < max(results):
+                # no message: a plan reaching the best keeps the foot, so
+                # its rewrite, unsound or below the best, already lost above
+                violations += 1
     return VerifyReport(cases, maxima_checks, violations, first)
 
 

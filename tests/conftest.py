@@ -27,6 +27,16 @@ def is_subsequence(sub, xs):
     return all(c in it for c in sub)
 
 
+def is_foot(xs, i):
+    """The hill foot's clauses, the tests' specification of it: ``i`` is
+    a position of ``xs``, ``xs`` descends weakly up to it, and then comes
+    a strict rise or the end.  ``dropk.greedy.hill_foot`` must find the
+    one such position; ``FootWitness.valid_for`` decides through it."""
+    return (0 <= i < len(xs)
+            and all(not xs[j] < xs[j + 1] for j in range(i))
+            and (i == len(xs) - 1 or xs[i] < xs[i + 1]))
+
+
 # The paper's specification: delete one element at a time, in every
 # order, keeping the whole multiset of candidates, and take the maximum.
 # The solvers in dropk.oracle must agree with it; nothing in dropk runs it.

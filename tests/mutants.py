@@ -25,9 +25,6 @@ Left out because they are equivalent, not because they survive:
   maps that are still empty.
 - ``length < max_len`` -> ``<=`` in ``equivalence_sweep``: it keeps rows
   nobody reads, so only memory changes.
-- ``k < 0 or n < 0`` -> ``and`` in ``enumerate_plans``: a negative count
-  still raises ``ValueError``, from ``k > n`` or from
-  ``itertools.combinations``.
 """
 
 from __future__ import annotations
@@ -73,6 +70,15 @@ MUTANTS = [
            "verify's equivalence sweep skips its longest length"),
     Mutant("src/dropk/cli.py", "    print(linear.solve_linear(args.k, text))",
            "    print(text)", "dropk trace prints the input as its answer"),
+    # output that stdout cannot take
+    Mutant("src/dropk/cli.py", "except (UnicodeEncodeError, OSError) as exc:",
+           "except OSError as exc:", "an unencodable answer ends in a traceback"),
+    Mutant("src/dropk/cli.py",
+           "usage-style exit\n        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+           "usage-style exit\n", "a full stdout fails again at shutdown"),
+    Mutant("src/dropk/cli.py", 'write the output: {exc}", file=sys.stderr)\n        return 2',
+           'write the output: {exc}", file=sys.stderr)\n        return 1',
+           "unwritable output exits with the violation code"),
     # the CLI's required options and caps
     Mutant("src/dropk/cli.py", 'add_subparsers(dest="command", required=True)',
            'add_subparsers(dest="command", required=False)', "subcommand optional"),
@@ -131,10 +137,21 @@ MUTANTS = [
     Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)",
            "max(row[k - 1], row[k - 1] + c)", "oracle extends the wrong row entry"),
     # the foot witness
-    Mutant("src/dropk/greedy_condition.py", "not 0 <= self.index < len(xs)",
-           "not 0 <= self.index <= len(xs)", "witness index may be one past the end"),
-    Mutant("src/dropk/greedy_condition.py", "xs[self.index] < xs[self.index + 1]",
-           "xs[self.index] <= xs[self.index + 1]", "witness foot may precede an equal element"),
+    Mutant("src/dropk/greedy_condition.py", "len(xs) > 0 and", "len(xs) >= 0 and",
+           "witness of the empty sequence asks for its foot"),
+    Mutant("src/dropk/greedy_condition.py", "self.index == hill_foot(xs)",
+           "self.index <= hill_foot(xs)", "witness index may lie before the foot"),
+    Mutant("src/dropk/greedy_condition.py", "return self.target_length == len(xs) > 0 and",
+           "return len(xs) > 0 and", "witness length not checked"),
+    # the argument checks
+    Mutant("src/dropk/greedy_condition.py", "    if len(tail) == 0:", "    if False:",
+           "check_mono_aux takes an empty tail"),
+    Mutant("src/dropk/greedy_condition.py", "if k < 0 or n < 0:", "if k < 0 and n < 0:",
+           "enumerate_plans takes one negative count"),
+    Mutant("src/dropk/cli.py", "    except ValueError:", "    except TypeError:",
+           "--k that is not an integer gets argparse's message"),
+    Mutant("src/dropk/cli.py", "if args.max_len < 1:", "if args.max_len < 0:",
+           "verify takes --max-len 0"),
     # the checkers
     Mutant("src/dropk/greedy_condition.py",
            "return lex_le(apply_plan(xs, plan), apply_plan(xs, ours))", "return True",
@@ -142,6 +159,10 @@ MUTANTS = [
     Mutant("src/dropk/greedy_condition.py", "return alter(plan, witness).actions[witness.index]",
            "return bool(alter(plan, witness))", "check_unfoot always passes"),
     # the exchange game
+    Mutant("src/dropk/greedy_condition.py", "sequences(alphabet, max_len, 1), _double_row",
+           "sequences(alphabet, max_len, 0), _double_row", "game stream starts at length 0"),
+    Mutant("src/dropk/greedy_condition.py", "        if len(xs) != n:", "        if not n:",
+           "game keeps the table of length 1"),
     Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
            "game pick reads bit i as deleted"),
     Mutant("src/dropk/greedy_condition.py", "return row + [r + c for r in row]",

@@ -18,7 +18,6 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
-
 class TestSolve:
     def test_worked_example_linear(self, capsys):
         code, out, _ = run(capsys, "solve", "--k", "3", "--algo", "linear", "6782334")
@@ -123,6 +122,12 @@ class TestSolve:
             main(["solve", "--k", "-1", "abc"])
         assert exc.value.code == 2
 
+    def test_non_integer_k_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--k", "abc", "12"])
+        assert exc.value.code == 2
+        assert "not an integer: 'abc'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -154,6 +159,11 @@ class TestVerify:
     def test_length_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--max-len", "10", "--alphabet", "abc")
         assert code == 2 and "capped" in err
+
+    def test_zero_length_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-len", "0", "--alphabet", "12")
+        assert code == 2 and out == ""
+        assert err == "error: --max-len must be >= 1\n"
 
     @pytest.mark.parametrize("max_len", [6, 7, 8, 9])
     def test_sweep_lengths(self, capsys, monkeypatch, max_len):
@@ -319,6 +329,39 @@ class TestTrace:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+def run_dropk(argv, stdout, **env):
+    """``python -m dropk`` in a subprocess: its exit code and stderr.
+
+    Standard output stays block-buffered, as by default, so output still
+    buffered at exit meets the flush at interpreter shutdown."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-m", "dropk", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env=dict(base, PYTHONPATH=str(src), **env))
+    return done.returncode, done.stderr
+
+
+class TestUnwritableOutput:
+    # output that stdout cannot take is a usage-style exit with one error
+    # line, not a traceback and exit 1, the violation code
+
+    def test_a_character_the_encoding_lacks(self):
+        code, err = run_dropk(["solve", "--k", "0", "é9"], subprocess.PIPE,
+                              PYTHONIOENCODING="ascii")
+        assert code == 2
+        assert err.startswith("error: cannot write the output: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_disk(self):
+        with open("/dev/full", "w") as full:
+            code, err = run_dropk(["verify", "--max-len", "2", "--alphabet", "12"], full)
+        assert code == 2
+        assert err.startswith("error: cannot write the output: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

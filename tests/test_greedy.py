@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_sequences
+from conftest import all_sequences, is_foot
 from dropk.core import drops, lex_le, max_lex
 from dropk.greedy import better_global_counterexample, gstep, hill_foot, solve_greedy
 from dropk.oracle import solve_naive_all_k
@@ -29,12 +29,7 @@ class TestHillFoot:
 
     def test_index_invariants(self):
         for xs in all_sequences("abc", 6, 1):
-            i = hill_foot(xs)
-            assert 0 <= i < len(xs)
-            # everything before the foot descends weakly, then a strict
-            # rise or the end of the sequence
-            assert all(xs[j] >= xs[j + 1] for j in range(i))
-            assert i == len(xs) - 1 or xs[i] < xs[i + 1]
+            assert is_foot(xs, hill_foot(xs))
 
 
 class TestGstep:

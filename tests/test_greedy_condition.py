@@ -4,7 +4,7 @@ import time
 import pytest
 
 import dropk.greedy_condition
-from conftest import all_sequences
+from conftest import all_sequences, is_foot
 from dropk.core import grow_rows, lex_le, sequences
 from dropk.greedy import gstep
 from dropk.greedy_condition import (
@@ -195,9 +195,14 @@ class TestFootWitness:
         assert not FootWitness(3, 3).valid_for("321")  # one past a descent
         assert not FootWitness(0, 3).valid_for("112")  # an equal neighbour follows
 
-    def test_canonical_witness_always_valid(self):
-        for xs in all_sequences("abc", 6, 1):
-            assert foot_witness(xs).valid_for(xs)
+    def test_valid_exactly_when_the_clauses_hold(self):
+        # every claim on every sequence, the empty one included, with
+        # indices just outside it and a length one too long
+        for xs in all_sequences("abc", 6):
+            n = len(xs)
+            for i in range(-1, n + 1):
+                for t in (n, n + 1):
+                    assert FootWitness(i, t).valid_for(xs) == (t == n and is_foot(xs, i))
 
 
 class TestDelfoot:
@@ -343,6 +348,8 @@ class TestCheckMonoAux:
     def test_precondition(self):
         with pytest.raises(ValueError, match=">="):
             check_mono_aux("1", "91", foot_witness("91"))
+        with pytest.raises(ValueError, match="tail must be nonempty"):
+            check_mono_aux("1", "", FootWitness(0, 0))
 
     def test_sweep(self):
         for tail in all_sequences("abc", 4, 1):
@@ -369,6 +376,9 @@ class TestEnumeratePlans:
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_plans(3, 2)
+        for k, n in [(-1, 3), (2, -1)]:
+            with pytest.raises(ValueError, match="counts must be >= 0"):
+                enumerate_plans(k, n)
 
 
 class TestVerifyGreedyCondition:
