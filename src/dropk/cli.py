@@ -192,15 +192,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at
-        # interpreter shutdown does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except (UnicodeEncodeError, OSError) as exc:
-        # stdout cannot take the output (a character its encoding lacks,
-        # a full disk): the same devnull, then a usage-style exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout cannot take the output.  A failed write (a closed pipe, a
+        # full disk) leaves stdout on devnull for the shutdown flush; lines
+        # before a character the encoding lacks still go out
+        if isinstance(exc, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader is gone
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,11 @@ stack top.
 A string is scanned as its code points, which order exactly as its
 characters do and compare faster: its Latin-1 bytes when every
 character fits in one, otherwise a UTF-32 view (lone surrogates
-included).  The stack starts with a bottom sentinel that is never below
+included).  The stack's top is held in a local and the list holds what
+lies below it.  The top starts as a bottom sentinel that is never below
 anything (``0x110000``, above every code point, or ``_TOP`` for tuple
-and list elements), so the loop never tests for an empty stack.  The
-sentinel is never popped and never part of the result.
+and list elements), so the loop never tests for an empty stack.  No
+deletion pops the sentinel, and it is never part of the result.
 
 Every step of the scan either pushes an element or pops one, plus one
 terminal step, so a run takes pushes + pops + 1 <= n + k + 1 steps.  The
@@ -65,19 +66,18 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     if not k:
         return stack, xs, 0, 0
     budget = k
-    top = stack[-1]
+    top = stack.pop()  # not a fresh []: its one-slot list keeps verify's peak RSS lower
     for y in xs:
-        if top < y:
-            stack.pop()
+        while top < y:
+            top = stack.pop()
             k -= 1
-            while k and stack[-1] < y:
-                stack.pop()
-                k -= 1
             if not k:
+                stack.append(top)
                 # pushes are the elements consumed, pops the whole budget
                 return stack, xs, len(stack) - 1 + budget, 0
-        stack.append(y)
+        stack.append(top)
         top = y
+    stack.append(top)
     return stack, xs, len(xs), k
 
 

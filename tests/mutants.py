@@ -74,8 +74,15 @@ MUTANTS = [
     Mutant("src/dropk/cli.py", "except (UnicodeEncodeError, OSError) as exc:",
            "except OSError as exc:", "an unencodable answer ends in a traceback"),
     Mutant("src/dropk/cli.py",
-           "usage-style exit\n        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
-           "usage-style exit\n", "a full stdout fails again at shutdown"),
+           "        if isinstance(exc, OSError):\n"
+           "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+           "", "a closed or full stdout fails again at shutdown"),
+    Mutant("src/dropk/cli.py", "if isinstance(exc, OSError):", "if type(exc) is OSError:",
+           "a stdout closed before the first flush fails again at shutdown"),
+    Mutant("src/dropk/cli.py", "if isinstance(exc, OSError):",
+           "if isinstance(exc, BrokenPipeError):", "a full stdout fails again at shutdown"),
+    Mutant("src/dropk/cli.py", "if isinstance(exc, OSError):", "if True:",
+           "an unencodable character discards the lines before it"),
     Mutant("src/dropk/cli.py", 'write the output: {exc}", file=sys.stderr)\n        return 2',
            'write the output: {exc}", file=sys.stderr)\n        return 1',
            "unwritable output exits with the violation code"),
@@ -110,10 +117,13 @@ MUTANTS = [
     # the scan
     Mutant("src/dropk/linear.py", "return stack, xs, len(stack) - 1 + budget, 0",
            "return stack, xs, len(stack) + budget, 0", "scan's early-exit consumed count"),
-    Mutant("src/dropk/linear.py", "        if top < y:", "        if top <= y:",
-           "scan pops an equal top"),
-    Mutant("src/dropk/linear.py", "while k and stack[-1] < y:", "while k and stack[-1] <= y:",
-           "scan's inner loop pops an equal element"),
+    Mutant("src/dropk/linear.py", "while top < y:", "while top <= y:", "scan pops an equal top"),
+    Mutant("src/dropk/linear.py", "        top = y\n    stack.append(top)\n", "        top = y\n",
+           "scan loses the held top when the input runs out"),
+    Mutant("src/dropk/linear.py", "            if not k:\n                stack.append(top)\n",
+           "            if not k:\n", "scan loses the held top when the budget runs out"),
+    Mutant("src/dropk/linear.py", "top = stack.pop()\n            k -= 1",
+           "top = stack.pop()\n            k -= 2", "each pop spends two deletions"),
     Mutant("src/dropk/linear.py", 'xs.encode("utf-32", "surrogatepass")', 'xs.encode("utf-32")',
            "strict UTF-32 codec"),
     Mutant("src/dropk/linear.py", "    if type(acc) is not type(rest):", "    if False:",

@@ -355,6 +355,28 @@ class TestUnwritableOutput:
         assert err.startswith("error: cannot write the output: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_lines_before_an_unencodable_character_go_out(self, tmp_path):
+        out = tmp_path / "out.txt"
+        with open(out, "w") as stdout:
+            code, err = run_dropk(["trace", "--k", "0", "1\u00e9"], stdout,
+                                  PYTHONIOENCODING="ascii")
+        assert code == 2
+        assert out.read_text() == "k=0 i=0 depth=0 FINISH\n"
+        assert err.startswith("error: cannot write the output: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_pipe_closed_before_the_first_write(self):
+        # the answer is still buffered when the reader is gone, so the
+        # flush at interpreter shutdown would meet the closed pipe again
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, err = run_dropk(["solve", "--k", "0", "123"], write)
+        finally:
+            os.close(write)
+        assert code == 141
+        assert err == ""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_a_full_disk(self):
         with open("/dev/full", "w") as full:

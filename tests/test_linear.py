@@ -200,6 +200,28 @@ class TestScanEvents:
                     for k in range(len(xs) + 1):
                         assert len(list(scan_events(k, xs))) == count_steps(k, xs)
 
+    def test_scan_bookkeeping_matches_the_replay(self):
+        # the stack, consumed count and deletions left that _scan returns
+        # are the replay's stack (code points for a string) and its FINISH
+        # event's index and k: an early exit inside the pop loop, both
+        # pushes of the held top and k = 0 included
+        cases = [*all_sequences("abc", 7), *all_sequences("a\u00e9\U0001f600", 5)]
+        for n in range(7):
+            for raw in product((3, 1, 2), repeat=n):
+                cases += [raw, list(raw)]
+        for xs in cases:
+            for k in range(len(xs) + 1):
+                stack = []
+                for event in scan_events(k, xs):
+                    if event.action == "PUSH":
+                        stack.append(event.element)
+                    elif event.action == "POP":
+                        stack.pop()
+                replayed = [ord(c) for c in stack] if isinstance(xs, str) else stack
+                got, _, consumed, k_left = _scan(k, xs)
+                assert list(got[1:]) == replayed, (xs, k)
+                assert (consumed, k_left) == (event.index, event.k), (xs, k)
+
     def test_prefix_stays_weakly_descending(self):
         # the stack rebuilt from the PUSH and POP events stays weakly
         # descending, matches every event's index and depth, and leads to
