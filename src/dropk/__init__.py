@@ -2,12 +2,13 @@
 largest.
 
 Three interchangeable engines solve the problem: :func:`solve_naive`
-enumerates everything, :func:`solve_greedy` deletes the hill foot k times
-over, and :func:`solve_linear` does one monotonic-stack scan in O(n + k)
-steps.  The :mod:`dropk.greedy_condition` module carries an executable
-form of the exchange argument that justifies the greedy step, playable
-as an exhaustive game at small scale, and :mod:`dropk.verify` holds the
-other exhaustive sweeps.
+grows the best remainder of every prefix for every k in O(n^3),
+:func:`solve_greedy` deletes the hill foot k times over, and
+:func:`solve_linear` does one monotonic-stack scan in O(n + k) steps.
+The :mod:`dropk.greedy_condition` module carries an executable form of
+the exchange argument that justifies the greedy step, playable as an
+exhaustive game at small scale, and :mod:`dropk.verify` holds the other
+exhaustive sweeps.
 """
 
 from .core import drops, lex_le, max_lex

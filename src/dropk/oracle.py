@@ -1,50 +1,44 @@
-"""Exhaustive search: the obviously correct reference solvers.
+"""Exhaustive search: the obviously correct reference solver.
 
-Deleting ``k`` elements is keeping the other n - k in order, so
-``solve_naive`` takes the lexicographic maximum over every choice of
-kept positions, C(n, k) candidates from ``itertools.combinations``, for
-any element kind: exponential, meant for desk-sized inputs.  The
-paper's own definition, one deletion at a time in every order with the
-whole multiset kept, is the specification the tests check these solvers
-against (``tests/conftest.py``).
-
-Every deletion count at once comes from one fact about those kept sets:
-each one of ``xs + c`` either skips ``c`` or ends with it, and appending
+Deleting ``k`` elements is keeping the other n - k in order.  Each kept
+set of ``xs + c`` either skips ``c`` or ends with it, and appending
 ``c`` to candidates of equal length keeps their order, so the best with
-k deleted is ``max(best_{k-1}(xs), best_k(xs) + c)``.  :func:`each_all_k`
-grows every answer that way from its prefix's through
-:func:`dropk.core.grow_rows`, which a stream of sequences in odometer
-order shares almost whole.  These solvers exist to be trusted, not to be
-fast; the other engines are checked against them.
+k deleted is ``max(best_{k-1}(xs), best_k(xs) + c)``.  Grown that way
+one element at a time, a row indexed by k holds every deletion count's
+answer in O(n^3), for any element kind, where the kept sets alone
+number 2^n.  ``solve_naive`` reads one entry of that row;
+:func:`each_all_k` grows the rows of a stream of sequences.
+
+The tests check this solver against the paper's own definition, one
+deletion at a time in every order with the whole multiset kept, and
+against a brute force over every set of kept positions
+(``tests/conftest.py``).  It exists to be trusted, not to be fast; the
+other engines are checked against it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import S, check_deletion_count, grow_rows, max_lex, rebuild
+from .core import S, check_deletion_count, grow_rows
 
 
 def solve_naive(k: int, xs: S) -> S:
     """Largest sequence reachable from ``xs`` by deleting exactly ``k``
-    elements, found by full enumeration.
-
-    Each set of deleted positions gives one candidate, a tuple of the
-    kept elements, which compares as the sequence it rebuilds: C(n, k)
-    of them, so this is still exponential and meant for desk-sized
-    inputs.
-    """
+    elements: entry ``k`` of :func:`solve_naive_all_k`, in O(n^3) for
+    every ``k``."""
     check_deletion_count(k, xs)
-    return rebuild(xs, max_lex(combinations(xs, len(xs) - k)))
+    return solve_naive_all_k(xs)[k]
 
 
 def solve_naive_all_k(xs: S, *, dedupe: bool = True) -> list[S]:
-    """``[solve_naive(k, xs) for k in range(len(xs) + 1)]``.
+    """The largest subsequence of ``xs`` with k elements deleted, for
+    k = 0..len(xs), as a list indexed by k and of the kind of ``xs``.
 
-    This is the one answer of ``each_all_k([xs])``: about n^2/2
-    comparisons of candidates, each built by one concatenation, where the
-    kept sets alone number 2^n.
+    This is the one answer of ``each_all_k([xs])``: the row the
+    recurrence in the module docstring grows, one element of ``xs`` at a
+    time, with about n^2/2 comparisons of candidates, each built by one
+    concatenation.
     """
     # dedupe=True is still passed by the benchmark's self-test; the
     # keyword goes when the next benchmark change drops that argument

@@ -22,6 +22,21 @@ def deleted_subsequences(xs, k):
     }
 
 
+def brute_naive(k, xs):
+    """The largest subsequence of ``xs`` with ``k`` elements deleted, as
+    the kind of ``xs``: the maximum over every choice of n - k kept
+    positions, C(n, k) candidates from ``itertools.combinations``.  The
+    brute-force reference for ``dropk.oracle``, which nothing in dropk
+    runs."""
+    best = max(combinations(xs, len(xs) - k))
+    return "".join(best) if isinstance(xs, str) else type(xs)(best)
+
+
+def brute_all_k(xs):
+    """:func:`brute_naive` for every deletion count k = 0..len(xs)."""
+    return [brute_naive(k, xs) for k in range(len(xs) + 1)]
+
+
 def is_subsequence(sub, xs):
     it = iter(xs)
     return all(c in it for c in sub)

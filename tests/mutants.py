@@ -101,8 +101,8 @@ MUTANTS = [
     Mutant("src/dropk/cli.py", "GAME_MAX_LEN = 7", "GAME_MAX_LEN = 8", "game cap one longer"),
     Mutant("src/dropk/cli.py", "AUX_MAX_LEN = 6", "AUX_MAX_LEN = 7",
            "prefix-dominance cap one longer"),
-    Mutant("src/dropk/cli.py", "args.k > NAIVE_MAX_K", "args.k >= NAIVE_MAX_K",
-           "naive engine refuses its largest k"),
+    Mutant("src/dropk/cli.py", "len(text) > NAIVE_MAX_LEN", "len(text) >= NAIVE_MAX_LEN",
+           "naive engine refuses its longest input"),
     Mutant("src/dropk/cli.py", "args.max_len > EQUIV_MAX_LEN", "args.max_len >= EQUIV_MAX_LEN",
            "verify refuses its largest --max-len"),
     # the counts the sweeps and the CLI report
@@ -158,6 +158,9 @@ MUTANTS = [
            "check_mono_aux takes an empty tail"),
     Mutant("src/dropk/greedy_condition.py", "if k < 0 or n < 0:", "if k < 0 and n < 0:",
            "enumerate_plans takes one negative count"),
+    Mutant("src/dropk/oracle.py",
+           "    check_deletion_count(k, xs)\n    return solve_naive_all_k(xs)[k]",
+           "    return solve_naive_all_k(xs)[k]", "solve_naive takes a negative k"),
     Mutant("src/dropk/cli.py", "    except ValueError:", "    except TypeError:",
            "--k that is not an integer gets argparse's message"),
     Mutant("src/dropk/cli.py", "if args.max_len < 1:", "if args.max_len < 0:",

@@ -69,29 +69,33 @@ class TestSolve:
             assert code == 2 and out == "" and "cannot drop more" in err
 
     def test_naive_cost_guard(self, capsys):
-        code, _, err = run(capsys, "solve", "--k", "7", "--algo", "naive",
-                           "123456789012345")
-        assert code == 2 and "naive engine is limited" in err
-        code, _, err = run(capsys, "solve", "--k", "2", "--algo", "naive",
-                           "123456789012345678901")
-        assert code == 2
+        # the length is capped, the deletion count is not
+        naive = run(capsys, "solve", "--k", "7", "--algo", "naive", "123456789012345")
+        linear = run(capsys, "solve", "--k", "7", "--algo", "linear", "123456789012345")
+        assert naive == linear == (0, "89012345\n", "")
+        code, out, err = run(capsys, "solve", "--k", "2", "--algo", "naive",
+                             "123456789012345678901")
+        assert code == 2 and out == "" and "naive engine is limited" in err
 
     def test_naive_within_guard(self, capsys):
         code, out, _ = run(capsys, "solve", "--k", "3", "--algo", "naive", "6782334")
         assert code == 0 and out == "8334\n"
-        # both limits at once
+        # the longest input the guard takes
         code, out, _ = run(capsys, "solve", "--k", "6", "--algo", "naive",
                            "61803398874989484820")
         assert code == 0 and out == "98874989484820\n"
 
-    def test_naive_merges_duplicate_candidates(self, capsys):
-        # one candidate per kept set: C(20, 5) = 15,504, where every deletion
-        # order would give 1,860,480
+    def test_naive_cost_does_not_grow_with_k(self, capsys):
+        # every deletion count of 20 digits within a quarter of the 1 s
+        # one call at k = 5 was allowed
+        digits = "61803398874989484820"
         start = time.perf_counter()
-        code, out, _ = run(capsys, "solve", "--k", "5", "--algo", "naive",
-                           "61803398874989484820")
-        assert time.perf_counter() - start < 1.0
-        assert code == 0 and out == "898874989484820\n"
+        got = [run(capsys, "solve", "--k", str(k), "--algo", "naive", digits)
+               for k in range(len(digits) + 1)]
+        assert time.perf_counter() - start < 0.25
+        assert got[5] == (0, "898874989484820\n", "")
+        assert got == [run(capsys, "solve", "--k", str(k), "--algo", "linear", digits)
+                       for k in range(len(digits) + 1)]
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "solve", "--k", "1")

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import MIXED_CHARS, all_sequences
 from dropk.core import drops, lex_le, max_lex, sequences
+from dropk.greedy import solve_greedy
+from dropk.linear import count_steps, scan_events, solve_linear
+from dropk.oracle import solve_naive
 
 token_tuples = st.lists(st.integers(0, 4), max_size=8).map(tuple)
 
@@ -166,3 +169,17 @@ class TestSequences:
 
     def test_non_string_alphabet_yields_tuples(self):
         assert list(sequences([2, 1], 2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestDeletionCountGuard:
+    # a missing guard would not raise: the naive row read at index -1 is
+    # the empty sequence, the greedy loop takes no step, and a scan whose
+    # budget starts below zero never runs out
+    @pytest.mark.parametrize("entry", [
+        solve_naive, solve_greedy, solve_linear, count_steps,
+        lambda k, xs: next(scan_events(k, xs)),
+    ], ids=["solve_naive", "solve_greedy", "solve_linear", "count_steps", "scan_events"])
+    def test_negative_k_rejected(self, entry):
+        for xs in ("", "abc", (3, 1, 2), [3, 1, 2]):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                entry(-1, xs)
