@@ -72,20 +72,33 @@ class TestSolveNaive:
                 for k in range(len(xs) + 1):
                     assert solve_naive(k, xs) == expected[k]
 
-    def test_cost_does_not_grow_with_k(self):
-        # every deletion count of 20 elements, of each kind, within a fifth
-        # of the 0.25 s one call at k = 5 was allowed: too little time to
-        # search the kept sets, 2^20 of them over all k
+    def test_merges_duplicates_by_default(self):
+        # the row keeps one best per prefix and deletion count, so equal
+        # candidates merge as they arise and the cost does not grow with k:
+        # all 21 deletion counts of 20 digits within a tenth of the 0.5 s
+        # one call at k = 5 was allowed, too little time to search the
+        # kept sets, 2^20 of them over all k
         digits = "61803398874989484820"
         expected = brute_all_k(digits)
         assert expected[5] == "898874989484820"
-        for kind in (str, lambda s: tuple([int(c)] for c in s), lambda s: [[int(c)] for c in s]):
-            xs = kind(digits)
+        start = time.perf_counter()
+        got = [solve_naive(k, digits) for k in range(len(digits) + 1)]
+        assert time.perf_counter() - start < 0.05
+        assert got == expected
+
+    def test_unhashable_elements_cost_no_more_than_ints(self):
+        # the same property for one-element lists, which cannot be hashed:
+        # all 21 deletion counts within a fifth of the 0.25 s one call at
+        # k = 5 was allowed, each result of the input's kind
+        digits = "61803398874989484820"
+        expected = brute_all_k(tuple(int(c) for c in digits))
+        for kind in (tuple, list):
+            xs = kind([int(c)] for c in digits)
             start = time.perf_counter()
             got = [solve_naive(k, xs) for k in range(len(xs) + 1)]
             assert time.perf_counter() - start < 0.05
-            # a str, a tuple and a list are never equal to one another
-            assert got == [kind(best) for best in expected]
+            # a tuple and a list are never equal to one another
+            assert got == [kind([d] for d in best) for best in expected]
 
     def test_candidate_multiset_size_is_falling_factorial(self):
         for xs in all_sequences("ab", 5, 1):
