@@ -20,6 +20,9 @@ Left out because they are equivalent, not because they survive:
 - ``check_mono_aux`` returning ``True`` is right under its own
   preconditions (x at least the head of the tail).
 - ``_TOP_CODE`` 0x110000 -> 0x110001: both lie above every code point.
+- ``k >= _UNCOUNTED_MIN`` -> ``>``, and ``_UNCOUNTED_MIN`` one more or
+  one less: the uncounted phase pushes and pops where the counted loop
+  would, so moving its gate changes speed only.
 - ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
   comes first, and the length switch it then makes only swaps in row
   maps that are still empty.
@@ -117,7 +120,21 @@ MUTANTS = [
     # the scan
     Mutant("src/dropk/linear.py", "return stack, xs, len(stack) - 1 + budget, 0",
            "return stack, xs, len(stack) + budget, 0", "scan's early-exit consumed count"),
-    Mutant("src/dropk/linear.py", "while top < y:", "while top <= y:", "scan pops an equal top"),
+    Mutant("src/dropk/linear.py", "    for y in rest:\n        while top < y:",
+           "    for y in rest:\n        while top <= y:", "scan pops an equal top"),
+    # the uncounted first phase
+    Mutant("src/dropk/linear.py", "islice(rest, k):\n            while top < y:",
+           "islice(rest, k):\n            while top <= y:", "uncounted phase pops an equal top"),
+    Mutant("src/dropk/linear.py", "islice(rest, k):\n            while top < y:",
+           "islice(rest, k):\n            if top < y:", "uncounted phase pops at most once"),
+    Mutant("src/dropk/linear.py", "islice(rest, k)", "islice(rest, k + 1)",
+           "uncounted phase reads one element too many"),
+    Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) + 1\n",
+           "one deletion too many left after the uncounted phase"),
+    Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) - 1\n",
+           "one deletion too few left after the uncounted phase"),
+    Mutant("src/dropk/linear.py", "stack if isinstance(xs, list) else tuple(stack)",
+           "stack", "a tuple input gets a list result"),
     Mutant("src/dropk/linear.py", "        top = y\n    stack.append(top)\n", "        top = y\n",
            "scan loses the held top when the input runs out"),
     Mutant("src/dropk/linear.py", "            if not k:\n                stack.append(top)\n",

@@ -1,10 +1,12 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MIXED_CHARS, all_sequences
+import dropk.linear
+from conftest import MIXED_CHARS, all_sequences, brute_naive
 from dropk.greedy import gstep, solve_greedy
 from dropk.linear import _scan, count_steps, gsolve, scan_events, solve_linear
 from dropk.oracle import solve_naive, solve_naive_all_k
@@ -22,6 +24,33 @@ def assert_kept_prefix_descends(k, xs):
     # the kept prefix every push relied on being weakly descending
     kept = _scan(k, xs)[0][1:]
     assert all(kept[j] >= kept[j + 1] for j in range(len(kept) - 1))
+
+
+def bookkeeping_cases():
+    cases = [*all_sequences("abc", 7), *all_sequences("a\u00e9\U0001f600", 5)]
+    for n in range(7):
+        for raw in product((3, 1, 2), repeat=n):
+            cases += [raw, list(raw)]
+    return cases
+
+
+def assert_scan_matches_the_replay(k, xs):
+    # the stack, consumed count and deletions left that _scan returns are
+    # the replay's stack (code points for a string) and its FINISH
+    # event's index and k, and solve_linear's answer is the replay's
+    stack = []
+    for event in scan_events(k, xs):
+        if event.action == "PUSH":
+            stack.append(event.element)
+        elif event.action == "POP":
+            stack.pop()
+    replayed = [ord(c) for c in stack] if isinstance(xs, str) else stack
+    got, _, consumed, k_left = _scan(k, xs)
+    assert list(got[1:]) == replayed, (xs, k)
+    assert (consumed, k_left) == (event.index, event.k), (xs, k)
+    kept = stack[: len(stack) - event.k]
+    kept = "".join(kept) if isinstance(xs, str) else type(xs)(kept)
+    assert solve_linear(k, xs) == kept + xs[event.index :], (xs, k)
 
 
 class TestGsolve:
@@ -96,6 +125,23 @@ class TestSolveLinear:
     def test_preserves_sequence_kind(self):
         assert solve_linear(2, (1, 9, 4, 2)) == (9, 4)
         assert solve_linear(2, [9, 8, 7]) == [9]
+
+    def test_plain_results_for_subclasses(self):
+        # a subclass of tuple or list gives a plain tuple or list, and a
+        # list result is a new list even when nothing is deleted
+        class T(tuple):
+            pass
+
+        class L(list):
+            pass
+
+        for k in range(4):
+            got = solve_linear(k, T((1, 9, 4)))
+            assert type(got) is tuple and got == solve_linear(k, (1, 9, 4))
+            got = solve_linear(k, L([1, 9, 4]))
+            assert type(got) is list and got == solve_linear(k, [1, 9, 4])
+        xs = [1, 9, 4]
+        assert solve_linear(0, xs) is not xs
 
     def test_agrees_with_other_engines(self):
         for xs in all_sequences("abc", 6):
@@ -201,26 +247,11 @@ class TestScanEvents:
                         assert len(list(scan_events(k, xs))) == count_steps(k, xs)
 
     def test_scan_bookkeeping_matches_the_replay(self):
-        # the stack, consumed count and deletions left that _scan returns
-        # are the replay's stack (code points for a string) and its FINISH
-        # event's index and k: an early exit inside the pop loop, both
-        # pushes of the held top and k = 0 included
-        cases = [*all_sequences("abc", 7), *all_sequences("a\u00e9\U0001f600", 5)]
-        for n in range(7):
-            for raw in product((3, 1, 2), repeat=n):
-                cases += [raw, list(raw)]
-        for xs in cases:
+        # an early exit inside the pop loop, both pushes of the held top
+        # and k = 0 included
+        for xs in bookkeeping_cases():
             for k in range(len(xs) + 1):
-                stack = []
-                for event in scan_events(k, xs):
-                    if event.action == "PUSH":
-                        stack.append(event.element)
-                    elif event.action == "POP":
-                        stack.pop()
-                replayed = [ord(c) for c in stack] if isinstance(xs, str) else stack
-                got, _, consumed, k_left = _scan(k, xs)
-                assert list(got[1:]) == replayed, (xs, k)
-                assert (consumed, k_left) == (event.index, event.k), (xs, k)
+                assert_scan_matches_the_replay(k, xs)
 
     def test_prefix_stays_weakly_descending(self):
         # the stack rebuilt from the PUSH and POP events stays weakly
@@ -240,3 +271,51 @@ class TestScanEvents:
                     assert all(stack[j] >= stack[j + 1] for j in range(len(stack) - 1))
                 kept = stack[: len(stack) - event.k]
                 assert "".join(kept) + xs[event.index :] == solve_linear(k, xs)
+
+
+@pytest.fixture
+def uncounted_from_one(monkeypatch):
+    """Every scan with k >= 1 takes the uncounted first phase."""
+    monkeypatch.setattr(dropk.linear, "_UNCOUNTED_MIN", 1)
+
+
+def every_kind(alphabet, max_len):
+    for text in all_sequences(alphabet, max_len):
+        yield from (text, tuple(text), list(text))
+
+
+class TestUncountedPhase:
+    def test_matches_brute_force(self, uncounted_from_one):
+        cases = [*every_kind("123", 7), *every_kind("a\u00e9\U0001f600", 5)]
+        for xs in cases:
+            for k in range(len(xs) + 1):
+                got = solve_linear(k, xs)
+                assert type(got) is type(xs)
+                assert got == brute_naive(k, xs), (xs, k)
+
+    def test_scan_bookkeeping_matches_the_replay(self, uncounted_from_one):
+        for xs in bookkeeping_cases():
+            for k in range(len(xs) + 1):
+                assert_scan_matches_the_replay(k, xs)
+
+    def test_event_count_matches_step_count(self, uncounted_from_one):
+        for xs in [*every_kind("abc", 6), *every_kind("a\u00e9\U0001f600", 5)]:
+            for k in range(len(xs) + 1):
+                assert count_steps(k, xs) == len(list(scan_events(k, xs))), (xs, k)
+
+    def test_long_inputs_on_both_sides_of_the_gate(self):
+        # seeded inputs of 100-3,000 elements, str (Latin-1 and astral),
+        # tuple and list, with k just below, at and above the constant
+        rng = random.Random(21)
+        gate = dropk.linear._UNCOUNTED_MIN
+        for _ in range(24):
+            n = rng.randint(100, 3000)
+            low, high = rng.choice(((0, 9), (0, 3), (0, 999), (5, 7)))
+            values = [rng.randint(low, high) for _ in range(n)]
+            if rng.random() < 0.3:
+                values.sort(reverse=rng.random() < 0.5)
+            base = rng.choice((0x30, 0xE0, 0x1F600))
+            text = "".join(chr(base + v) for v in values)
+            for xs in (text, tuple(values), list(values)):
+                for k in (gate - 1, gate, rng.randint(gate, n), n):
+                    assert_scan_matches_the_replay(k, xs)
