@@ -25,19 +25,37 @@ push and pop exactly where characters would, so the count is the same.
 When k is at least ``_UNCOUNTED_MIN`` the scan runs in two phases.  The
 first k elements pop without spending from the budget: every pop
 removes an element pushed earlier, so after i <= k elements at most
-i - 1 deletions are gone and the budget cannot run out.  The deletions
-left are then k minus those pops, which is the length of the list,
-since each consumed element was pushed once.  The second phase is the
-counted loop on the rest.  Both phases push and pop where the one loop
-would, so the result and the step count do not change.  The phase's
-``iter`` and ``islice`` cost about 200 ns a call, and each pop it does
-not count saves 10-30 ns; measured on Python 3.11 (2-vCPU x86-64 VM,
-n = 2k), it broke even near k = 16-24 on ascending input (a pop per
-element), near k = 32 on random digits and near k = 64 on alternating
-``19`` (a pop per two elements).  Input with no pop, such as weakly
-descending input, runs 5-7% slower through it at every k.  Below the
-constant, as in verify's calls (k <= 9), the scan is the counted loop
-alone.
+i - 1 deletions are gone, and no pop among them can spend the last one.
+The deletions left are then k minus those pops, which is the length of
+the list, since each consumed element was pushed once.  The second
+phase is the counted loop on the rest.  Both phases push and pop where
+the one loop would, so the result and the step count do not change.
+
+With no budget test, the first phase's stack has a closed form: the
+prefix's weak suffix maxima, the elements that no later element of the
+prefix exceeds, in input order.  An element that a later one exceeds is
+popped when that one arrives, since everything above it on the stack is
+at most it; an element that none exceeds is never popped.  For a
+Latin-1 string, :func:`_push_suffix_maxima` builds that stack level by
+level, from byte value 255 down, with ``bytes.rfind`` and
+``bytes.count``, which run in C.  There are at most 256 levels, so it
+does O(256 k) memchr-speed work plus O(k) list work, and no interpreted
+step per element.  Tuples, lists and UTF-32 views run the pop loop
+through ``iter`` and ``islice`` instead.
+
+Measured on Python 3.11 (2-vCPU x86-64 VM).  The pop loop's ``iter``
+and ``islice`` cost about 200 ns a call, and each pop it does not count
+saves 10-30 ns; at n = 2k it broke even near k = 16-24 on ascending
+input (a pop per element), near k = 32 on random digits and near k = 64
+on alternating ``19`` (a pop per two elements).  Input with no pop,
+such as weakly descending input, runs 5-7% slower through it at every
+k.  A Latin-1 level costs 120-250 ns, hit or miss, so from k = 64 to
+about 1,000 a Latin-1 string's phase costs 20-50 us more than the pop
+loop.  At n = 1e6 it took 4-12 ms where the pop loop took 30-46 ms on
+random, sorted and reverse-sorted digits, and 15-24 ms against 29-32 ms
+on its worst case, ``"\\xff"`` followed by zero bytes, where 254 levels
+miss over the whole prefix.  Below the constant, as in verify's calls
+(k <= 9), the scan is the counted loop alone.
 """
 
 from __future__ import annotations
@@ -65,6 +83,29 @@ _TOP_CODE = 0x110000
 _UNCOUNTED_MIN = 64
 
 
+def _push_suffix_maxima(stack: list, p: bytes, end: int) -> None:
+    """Push the weak suffix maxima of ``p[:end]`` onto ``stack``, oldest
+    first: the bytes that no later byte of ``p[:end]`` exceeds.
+
+    That is the pop loop's stack after ``p[:end]`` with no budget test.
+    Level c holds the c bytes from ``i``, one past the last byte above c,
+    to the last c: none of them has a larger byte after it, and every
+    byte before ``i`` has.  The levels run from 255 down, so the first
+    hit is the prefix's largest byte; finding it by misses costs at most
+    255 memchr passes, where ``max(p[:end])`` would compare an int object
+    per byte.  The last byte always ends a level, so the walk stops
+    there, at ``i == end``.
+    """
+    i = 0
+    c = 255
+    while i < end:
+        last = p.rfind(c, i, end)
+        if last >= 0:
+            stack += [c] * p.count(c, i, last + 1)
+            i = last + 1
+        c -= 1
+
+
 def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     """Run the scan over ``xs`` with ``k`` deletions.
 
@@ -74,9 +115,11 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     when the input ran out, and they fall on the stack top; otherwise
     ``xs[consumed:]`` is kept.  Needs ``k <= len(xs)``.
 
-    From ``k >= _UNCOUNTED_MIN`` on, the first k elements go through a
-    pop loop with no budget test, since none of them can spend the last
-    deletion; the deletions left are then ``len(stack)``, and the
+    From ``k >= _UNCOUNTED_MIN`` on, the first k elements pop with no
+    budget test, since none of them can spend the last deletion, and the
+    deletions left are then ``len(stack)``.  A Latin-1 string's stack is
+    built by :func:`_push_suffix_maxima` and the counted loop runs on
+    ``xs[k:]``; any other sequence goes through the pop loop, and the
     counted loop continues on the same iterator.
     """
     if isinstance(xs, str):
@@ -94,12 +137,18 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     top = stack.pop()  # not a fresh []: its one-slot list keeps verify's peak RSS lower
     rest = xs
     if k >= _UNCOUNTED_MIN:
-        rest = iter(xs)
-        for y in islice(rest, k):
-            while top < y:
-                top = stack.pop()
+        if type(xs) is bytes:  # a Latin-1 string: the same stack, built in C
             stack.append(top)
-            top = y
+            _push_suffix_maxima(stack, xs, k)
+            top = stack.pop()
+            rest = xs[k:]
+        else:
+            rest = iter(xs)
+            for y in islice(rest, k):
+                while top < y:
+                    top = stack.pop()
+                stack.append(top)
+                top = y
         # each of the k consumed elements was pushed once: the list holds
         # the sentinel and all kept but the top, k minus the pops so far
         k = len(stack)

@@ -23,6 +23,8 @@ Left out because they are equivalent, not because they survive:
 - ``k >= _UNCOUNTED_MIN`` -> ``>``, and ``_UNCOUNTED_MIN`` one more or
   one less: the uncounted phase pushes and pops where the counted loop
   would, so moving its gate changes speed only.
+- ``type(xs) is bytes`` -> ``False`` in ``_scan``: a Latin-1 string then
+  takes the pop loop, which leaves the same stack more slowly.
 - ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
   comes first, and the length switch it then makes only swaps in row
   maps that are still empty.
@@ -123,16 +125,31 @@ MUTANTS = [
     Mutant("src/dropk/linear.py", "    for y in rest:\n        while top < y:",
            "    for y in rest:\n        while top <= y:", "scan pops an equal top"),
     # the uncounted first phase
-    Mutant("src/dropk/linear.py", "islice(rest, k):\n            while top < y:",
-           "islice(rest, k):\n            while top <= y:", "uncounted phase pops an equal top"),
-    Mutant("src/dropk/linear.py", "islice(rest, k):\n            while top < y:",
-           "islice(rest, k):\n            if top < y:", "uncounted phase pops at most once"),
+    Mutant("src/dropk/linear.py", "islice(rest, k):\n                while top < y:",
+           "islice(rest, k):\n                while top <= y:", "uncounted phase pops an equal top"),
+    Mutant("src/dropk/linear.py", "islice(rest, k):\n                while top < y:",
+           "islice(rest, k):\n                if top < y:", "uncounted phase pops at most once"),
     Mutant("src/dropk/linear.py", "islice(rest, k)", "islice(rest, k + 1)",
            "uncounted phase reads one element too many"),
     Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) + 1\n",
            "one deletion too many left after the uncounted phase"),
     Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) - 1\n",
            "one deletion too few left after the uncounted phase"),
+    # a Latin-1 string's uncounted phase: its weak suffix maxima
+    Mutant("src/dropk/linear.py", "p.rfind(c, i, end)", "p.rfind(c, i)",
+           "suffix maxima read past the prefix"),
+    Mutant("src/dropk/linear.py", "p.count(c, i, last + 1)", "p.count(c, i, last)",
+           "suffix maxima drop each level's last byte"),
+    Mutant("src/dropk/linear.py", "            i = last + 1\n", "            i = last\n",
+           "suffix-maxima level starts on the last byte of the level above"),
+    Mutant("src/dropk/linear.py", "        c -= 1\n", "        c -= 2\n",
+           "suffix-maxima walk skips every other level"),
+    Mutant("src/dropk/linear.py", "    c = 255\n", "    c = 254\n",
+           "suffix-maxima walk starts below the largest byte"),
+    Mutant("src/dropk/linear.py", "            stack.append(top)\n            _push_suffix_maxima(",
+           "            _push_suffix_maxima(", "sentinel not put back under the suffix maxima"),
+    Mutant("src/dropk/linear.py", "rest = xs[k:]", "rest = xs[k + 1 :]",
+           "counted loop skips the byte after the Latin-1 prefix"),
     Mutant("src/dropk/linear.py", "stack if isinstance(xs, list) else tuple(stack)",
            "stack", "a tuple input gets a list result"),
     Mutant("src/dropk/linear.py", "        top = y\n    stack.append(top)\n", "        top = y\n",

@@ -305,17 +305,30 @@ class TestUncountedPhase:
 
     def test_long_inputs_on_both_sides_of_the_gate(self):
         # seeded inputs of 100-3,000 elements, str (Latin-1 and astral),
-        # tuple and list, with k just below, at and above the constant
+        # tuple and list, with k just below, at and above the constant;
+        # then Latin-1 strings over every byte value, a descending
+        # staircase over all 256 and "\xff" followed by equal bytes, the
+        # ends of the bytes path's level walk
         rng = random.Random(21)
         gate = dropk.linear._UNCOUNTED_MIN
+        cases = []
         for _ in range(24):
             n = rng.randint(100, 3000)
-            low, high = rng.choice(((0, 9), (0, 3), (0, 999), (5, 7)))
+            low, high = rng.choice(((0, 9), (0, 3), (0, 999), (5, 7), (0, 255)))
             values = [rng.randint(low, high) for _ in range(n)]
             if rng.random() < 0.3:
                 values.sort(reverse=rng.random() < 0.5)
-            base = rng.choice((0x30, 0xE0, 0x1F600))
+            cases.append((rng.choice((0, 0x30, 0xE0, 0x1F600)), values))
+        cases += [(0, [rng.randrange(256) for _ in range(2000)]) for _ in range(3)]
+        cases.append((0, [255 - i // 8 for i in range(2048)]))
+        cases += [(0, [255] + [b] * 1500) for b in (0, 97, 254, 255)]
+        for base, values in cases:
+            n = len(values)
             text = "".join(chr(base + v) for v in values)
-            for xs in (text, tuple(values), list(values)):
-                for k in (gate - 1, gate, rng.randint(gate, n), n):
+            # the tuple path, the interpreted loop, is the string's reference
+            points = tuple(map(ord, text))
+            for k in (gate - 1, gate, rng.randint(gate, n), n):
+                for xs in (text, tuple(values), list(values)):
                     assert_scan_matches_the_replay(k, xs)
+                assert tuple(map(ord, solve_linear(k, text))) == solve_linear(k, points), (text, k)
+                assert count_steps(k, text) == count_steps(k, points), (text, k)
