@@ -37,11 +37,12 @@ prefix exceeds, in input order.  An element that a later one exceeds is
 popped when that one arrives, since everything above it on the stack is
 at most it; an element that none exceeds is never popped.  For a
 Latin-1 string, :func:`_push_suffix_maxima` builds that stack level by
-level, from byte value 255 down, with ``bytes.rfind`` and
-``bytes.count``, which run in C.  There are at most 256 levels, so it
-does O(256 k) memchr-speed work plus O(k) list work, and no interpreted
-step per element.  Tuples, lists and UTF-32 views run the pop loop
-through ``iter`` and ``islice`` instead.
+level, from byte value 127 down when the prefix is ASCII and from 255
+otherwise, with ``bytes.rfind`` and ``bytes.count``, which run in C.
+There are at most 256 levels, so it does O(256 k) memchr-speed work
+plus O(k) list work, and no interpreted step per element.  Tuples,
+lists and UTF-32 views run the pop loop through ``iter`` and ``islice``
+instead.
 
 Measured on Python 3.11 (2-vCPU x86-64 VM).  The pop loop's ``iter``
 and ``islice`` cost about 200 ns a call, and each pop it does not count
@@ -49,13 +50,17 @@ saves 10-30 ns; at n = 2k it broke even near k = 16-24 on ascending
 input (a pop per element), near k = 32 on random digits and near k = 64
 on alternating ``19`` (a pop per two elements).  Input with no pop,
 such as weakly descending input, runs 5-7% slower through it at every
-k.  A Latin-1 level costs 120-250 ns, hit or miss, so from k = 64 to
-about 1,000 a Latin-1 string's phase costs 20-50 us more than the pop
-loop.  At n = 1e6 it took 4-12 ms where the pop loop took 30-46 ms on
-random, sorted and reverse-sorted digits, and 15-24 ms against 29-32 ms
-on its worst case, ``"\\xff"`` followed by zero bytes, where 254 levels
-miss over the whole prefix.  Below the constant, as in verify's calls
-(k <= 9), the scan is the counted loop alone.
+k.  A Latin-1 level costs 120-250 ns, hit or miss.  On random digits at
+n = 2k the walk from 127 took 12-19 us from k = 64 to 4,000, where the
+pop loop took 3.6, 14, 59 and 256 us at k = 64, 256, 1,000 and 4,000,
+so an ASCII string pays up to about 10 us more below k = 250.  A
+non-ASCII Latin-1 string walks from 255 and pays 20-50 us more from
+k = 64 to about 1,000.  At n = 1e6 the phase took 4-12 ms where the pop
+loop took 30-46 ms on random, sorted and reverse-sorted digits, and
+15-24 ms against 29-32 ms on its worst case, ``"\\xff"`` followed by
+zero bytes, where 254 levels miss over the whole prefix.  Below the
+constant, as in verify's calls (k <= 9), the scan is the counted loop
+alone.
 """
 
 from __future__ import annotations
@@ -90,14 +95,16 @@ def _push_suffix_maxima(stack: list, p: bytes, end: int) -> None:
     That is the pop loop's stack after ``p[:end]`` with no budget test.
     Level c holds the c bytes from ``i``, one past the last byte above c,
     to the last c: none of them has a larger byte after it, and every
-    byte before ``i`` has.  The levels run from 255 down, so the first
-    hit is the prefix's largest byte; finding it by misses costs at most
-    255 memchr passes, where ``max(p[:end])`` would compare an int object
-    per byte.  The last byte always ends a level, so the walk stops
+    byte before ``i`` has.  The levels run down from 127 when the prefix
+    is ASCII and from 255 otherwise, so the first hit is the prefix's
+    largest byte; finding it by misses costs at most 127 or 255 memchr
+    passes, where ``max(p[:end])`` would compare an int object per byte.
+    The ASCII test reads only the prefix: ``p.isascii()`` would scan the
+    whole input.  The last byte always ends a level, so the walk stops
     there, at ``i == end``.
     """
     i = 0
-    c = 255
+    c = 127 if p[:end].isascii() else 255
     while i < end:
         last = p.rfind(c, i, end)
         if last >= 0:

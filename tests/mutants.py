@@ -25,6 +25,8 @@ Left out because they are equivalent, not because they survive:
   would, so moving its gate changes speed only.
 - ``type(xs) is bytes`` -> ``False`` in ``_scan``: a Latin-1 string then
   takes the pop loop, which leaves the same stack more slowly.
+- ``127`` -> ``128`` in ``_push_suffix_maxima``: the walk over an ASCII
+  prefix takes one more miss.
 - ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
   comes first, and the length switch it then makes only swaps in row
   maps that are still empty.
@@ -144,8 +146,12 @@ MUTANTS = [
            "suffix-maxima level starts on the last byte of the level above"),
     Mutant("src/dropk/linear.py", "        c -= 1\n", "        c -= 2\n",
            "suffix-maxima walk skips every other level"),
-    Mutant("src/dropk/linear.py", "    c = 255\n", "    c = 254\n",
+    Mutant("src/dropk/linear.py", "else 255\n", "else 254\n",
            "suffix-maxima walk starts below the largest byte"),
+    Mutant("src/dropk/linear.py", "c = 127 if", "c = 126 if",
+           "suffix-maxima walk over an ASCII prefix starts below 0x7f"),
+    Mutant("src/dropk/linear.py", "p[:end].isascii()", "True",
+           "suffix-maxima walk over a non-ASCII prefix starts at 127"),
     Mutant("src/dropk/linear.py", "            stack.append(top)\n            _push_suffix_maxima(",
            "            _push_suffix_maxima(", "sentinel not put back under the suffix maxima"),
     Mutant("src/dropk/linear.py", "rest = xs[k:]", "rest = xs[k + 1 :]",

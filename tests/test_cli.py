@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -120,6 +121,42 @@ class TestSolve:
                 code, out, err = run(capsys, command, "--k", "1", *given)
                 assert code == 2 and out == ""
                 assert err.startswith("error: ") and "not valid UTF-8" in err
+
+    def test_argv_bytes_not_utf8_is_a_usage_error(self, tmp_path):
+        # in process, main is handed text already decoded; only a real
+        # argv shows the interpreter's decoding of the raw bytes
+        out = tmp_path / "out.txt"
+        with open(out, "w") as stdout:
+            code, err = run_dropk(["solve", "--k", "1", b"1\xff9"], stdout, PYTHONUTF8="1")
+        assert code == 2 and out.read_text() == ""
+        assert err == "error: input: not valid UTF-8 (character 1)\n"
+
+    def test_uncounted_phase_from_a_file(self, capsys, tmp_path):
+        # the scan's uncounted first phase (k >= 64), from a file through
+        # the CLI, on answers known in closed form or from the greedy engine
+        source = tmp_path / "input.txt"
+
+        def solve(k, algo, text):
+            source.write_text(text + "\n", encoding="utf-8")
+            return run(capsys, "solve", "--k", str(k), "--algo", algo, "--file", str(source))
+
+        # k = n - 1 on weakly ascending digits keeps the largest digit
+        ascending = "".join(str(i // 10000) for i in range(100_000))
+        assert solve(99_999, "linear", ascending) == (0, "9\n", "")
+        # weakly descending digits never pop: k = n/2 keeps the first half
+        descending = ascending[::-1]
+        assert solve(50_000, "linear", descending) == (0, descending[:50_000] + "\n", "")
+        # seeded random digits, and Latin-1 beyond ASCII, whose uncounted
+        # phase is its weak suffix maxima: the scan agrees with greedy
+        r = random.Random(21)
+        digits = "".join(r.choice("0123456789") for _ in range(2000))
+        r = random.Random(22)
+        latin1 = "".join(chr(r.randrange(0x80, 0x100)) for _ in range(2000))
+        for text in (digits, latin1):
+            assert solve(1000, "linear", text) == solve(1000, "greedy", text)
+        # a U+00FF and then equal bytes never pop: the cut falls on the tail
+        tail = "\xff" + "a" * 99_999
+        assert solve(50_000, "linear", tail) == (0, tail[:50_000] + "\n", "")
 
     def test_negative_k_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -308,7 +308,8 @@ class TestUncountedPhase:
         # tuple and list, with k just below, at and above the constant;
         # then Latin-1 strings over every byte value, a descending
         # staircase over all 256 and "\xff" followed by equal bytes, the
-        # ends of the bytes path's level walk
+        # ends of the bytes path's level walk, and an ASCII string led by
+        # "\x7f", the top of the walk over an ASCII prefix
         rng = random.Random(21)
         gate = dropk.linear._UNCOUNTED_MIN
         cases = []
@@ -322,6 +323,7 @@ class TestUncountedPhase:
         cases += [(0, [rng.randrange(256) for _ in range(2000)]) for _ in range(3)]
         cases.append((0, [255 - i // 8 for i in range(2048)]))
         cases += [(0, [255] + [b] * 1500) for b in (0, 97, 254, 255)]
+        cases.append((0, [127] + [i * 37 % 127 for i in range(1999)]))
         for base, values in cases:
             n = len(values)
             text = "".join(chr(base + v) for v in values)
