@@ -41,26 +41,35 @@ level, from byte value 127 down when the prefix is ASCII and from 255
 otherwise, with ``bytes.rfind`` and ``bytes.count``, which run in C.
 There are at most 256 levels, so it does O(256 k) memchr-speed work
 plus O(k) list work, and no interpreted step per element.  Tuples,
-lists and UTF-32 views run the pop loop through ``iter`` and ``islice``
-instead.
+lists and UTF-32 views find the same stack in one pass from right to
+left over ``xs[k - 1::-1]``: an element is kept when it is not below
+the largest element kept so far, which is the largest element after
+it, and the kept elements are then turned over.  That is one
+comparison per element and no pop.  The counted loop then reads a
+UTF-32 view's ``xs[k:]``, itself a view, or a tuple's or list's own
+iterator advanced past the prefix, so the unread tail is not copied.
 
-Measured on Python 3.11 (2-vCPU x86-64 VM).  The pop loop's ``iter``
-and ``islice`` cost about 200 ns a call, and each pop it does not count
-saves 10-30 ns; at n = 2k it broke even near k = 16-24 on ascending
-input (a pop per element), near k = 32 on random digits and near k = 64
-on alternating ``19`` (a pop per two elements).  Input with no pop,
-such as weakly descending input, runs 5-7% slower through it at every
-k.  A Latin-1 level costs 120-250 ns, hit or miss.  On random digits at
+Measured on Python 3.11 (2-vCPU x86-64 VM).  Against the counted loop
+alone at n = 2k, the right-to-left pass was already faster at k = 16
+on random and ascending digits (0.68-0.70x as tuples, 0.84-0.88x as
+astral strings), broke even near k = 16-32 on alternating ``19`` (a
+pop per two elements), and took 0.49-0.56x at k = 64 on random and
+ascending digits.  Input that never pops, such as weakly descending
+input, has no pop to save and runs 1.06-1.15x slower at k = 64 and
+1.03-1.12x at k = 128.  At n = 1e6 the pass took 35-39 ms where the
+old pop loop took 128-141 ms on an ascending astral string with k = n.
+A Latin-1 level costs 120-250 ns, hit or miss.  On random digits at
 n = 2k the walk from 127 took 12-19 us from k = 64 to 4,000, where the
-pop loop took 3.6, 14, 59 and 256 us at k = 64, 256, 1,000 and 4,000,
+old pop loop took 3.6, 14, 59 and 256 us at k = 64, 256, 1,000 and 4,000,
 so an ASCII string pays up to about 10 us more below k = 250.  A
 non-ASCII Latin-1 string walks from 255 and pays 20-50 us more from
-k = 64 to about 1,000.  At n = 1e6 the phase took 4-12 ms where the pop
-loop took 30-46 ms on random, sorted and reverse-sorted digits, and
-15-24 ms against 29-32 ms on its worst case, ``"\\xff"`` followed by
-zero bytes, where 254 levels miss over the whole prefix.  Below the
-constant, as in verify's calls (k <= 9), the scan is the counted loop
-alone.
+k = 64 to about 1,000.  At n = 1e6 the walk took 4-12 ms where the
+old pop loop took 30-46 ms on random, sorted and reverse-sorted digits,
+and 15-24 ms against 29-32 ms on its worst case, ``"\\xff"`` followed by
+zero bytes, where 254 levels miss over the whole prefix.  On the same
+bytes the right-to-left pass took 11-18 ms where the walk took 2-4 ms,
+so a Latin-1 string keeps the walk.  Below the constant, as in
+verify's calls (k <= 9), the scan is the counted loop alone.
 """
 
 from __future__ import annotations
@@ -124,10 +133,13 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
 
     From ``k >= _UNCOUNTED_MIN`` on, the first k elements pop with no
     budget test, since none of them can spend the last deletion, and the
-    deletions left are then ``len(stack)``.  A Latin-1 string's stack is
-    built by :func:`_push_suffix_maxima` and the counted loop runs on
-    ``xs[k:]``; any other sequence goes through the pop loop, and the
-    counted loop continues on the same iterator.
+    deletions left are then ``len(stack)``.  That stack is the prefix's
+    weak suffix maxima: a Latin-1 string's is built by
+    :func:`_push_suffix_maxima`, and any other sequence's is found right
+    to left, keeping each element that no later one exceeds.  The
+    counted loop then runs on ``xs[k:]`` for a string's bytes or UTF-32
+    view, and on an iterator advanced past the prefix for a tuple or a
+    list, whose tail is not copied.
     """
     if isinstance(xs, str):
         stack = [_TOP_CODE]
@@ -144,18 +156,24 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     top = stack.pop()  # not a fresh []: its one-slot list keeps verify's peak RSS lower
     rest = xs
     if k >= _UNCOUNTED_MIN:
-        if type(xs) is bytes:  # a Latin-1 string: the same stack, built in C
+        # the stack after xs[:k] with no budget test: its weak suffix maxima
+        if type(xs) is bytes:  # a Latin-1 string: level by level, in C
             stack.append(top)
             _push_suffix_maxima(stack, xs, k)
-            top = stack.pop()
-            rest = xs[k:]
-        else:
+        else:  # right to left, sentinel last, then turned over
+            high = xs[k - 1]
+            for y in xs[k - 1 :: -1]:
+                if not y < high:
+                    stack.append(y)
+                    high = y
+            stack.append(top)
+            stack.reverse()
+        top = stack.pop()
+        if isinstance(xs, (tuple, list)):  # read on in place: a copy would raise the peak
             rest = iter(xs)
-            for y in islice(rest, k):
-                while top < y:
-                    top = stack.pop()
-                stack.append(top)
-                top = y
+            next(islice(rest, k, k), None)
+        else:  # a string's bytes or UTF-32 view
+            rest = xs[k:]
         # each of the k consumed elements was pushed once: the list holds
         # the sentinel and all kept but the top, k minus the pops so far
         k = len(stack)

@@ -24,7 +24,11 @@ Left out because they are equivalent, not because they survive:
   one less: the uncounted phase pushes and pops where the counted loop
   would, so moving its gate changes speed only.
 - ``type(xs) is bytes`` -> ``False`` in ``_scan``: a Latin-1 string then
-  takes the pop loop, which leaves the same stack more slowly.
+  takes the right-to-left pass, which leaves the same stack more slowly.
+- ``isinstance(xs, (tuple, list))`` -> ``False`` or ``True`` in
+  ``_scan``: a tuple's or list's tail is then copied by ``xs[k:]``, or a
+  string's bytes or view read through an advanced iterator, which
+  changes memory and speed only.
 - ``127`` -> ``128`` in ``_push_suffix_maxima``: the walk over an ASCII
   prefix takes one more miss.
 - ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
@@ -127,12 +131,6 @@ MUTANTS = [
     Mutant("src/dropk/linear.py", "    for y in rest:\n        while top < y:",
            "    for y in rest:\n        while top <= y:", "scan pops an equal top"),
     # the uncounted first phase
-    Mutant("src/dropk/linear.py", "islice(rest, k):\n                while top < y:",
-           "islice(rest, k):\n                while top <= y:", "uncounted phase pops an equal top"),
-    Mutant("src/dropk/linear.py", "islice(rest, k):\n                while top < y:",
-           "islice(rest, k):\n                if top < y:", "uncounted phase pops at most once"),
-    Mutant("src/dropk/linear.py", "islice(rest, k)", "islice(rest, k + 1)",
-           "uncounted phase reads one element too many"),
     Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) + 1\n",
            "one deletion too many left after the uncounted phase"),
     Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) - 1\n",
@@ -154,8 +152,27 @@ MUTANTS = [
            "suffix-maxima walk over a non-ASCII prefix starts at 127"),
     Mutant("src/dropk/linear.py", "            stack.append(top)\n            _push_suffix_maxima(",
            "            _push_suffix_maxima(", "sentinel not put back under the suffix maxima"),
-    Mutant("src/dropk/linear.py", "rest = xs[k:]", "rest = xs[k + 1 :]",
+    Mutant("src/dropk/linear.py", "rest = xs[k:]",
+           "rest = xs[k + 1 :] if type(xs) is bytes else xs[k:]",
            "counted loop skips the byte after the Latin-1 prefix"),
+    # the uncounted phase of tuples, lists and UTF-32 views: right to left
+    Mutant("src/dropk/linear.py", "if not y < high:", "if y > high:",
+           "right-to-left pass drops ties"),
+    Mutant("src/dropk/linear.py", "                    high = y\n", "",
+           "right-to-left pass never raises its bar"),
+    Mutant("src/dropk/linear.py", "high = xs[k - 1]", "high = xs[0]",
+           "right-to-left pass starts its bar at the first element"),
+    Mutant("src/dropk/linear.py", "for y in xs[k - 1 :: -1]:", "for y in xs[k - 2 :: -1]:",
+           "right-to-left pass skips the prefix's last element"),
+    Mutant("src/dropk/linear.py", "            stack.reverse()\n", "",
+           "right-to-left maxima left newest-first"),
+    Mutant("src/dropk/linear.py", "            stack.append(top)\n            stack.reverse()",
+           "            stack.reverse()", "sentinel not put under the right-to-left maxima"),
+    Mutant("src/dropk/linear.py", "islice(rest, k, k)", "islice(rest, k - 1, k - 1)",
+           "counted loop rereads a tuple's or list's last prefix element"),
+    Mutant("src/dropk/linear.py", "rest = xs[k:]",
+           "rest = xs[k + 1 :] if type(xs) is memoryview else xs[k:]",
+           "counted loop skips the element after a UTF-32 prefix"),
     Mutant("src/dropk/linear.py", "stack if isinstance(xs, list) else tuple(stack)",
            "stack", "a tuple input gets a list result"),
     Mutant("src/dropk/linear.py", "        top = y\n    stack.append(top)\n", "        top = y\n",

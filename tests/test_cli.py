@@ -157,6 +157,18 @@ class TestSolve:
         # a U+00FF and then equal bytes never pop: the cut falls on the tail
         tail = "\xff" + "a" * 99_999
         assert solve(50_000, "linear", tail) == (0, tail[:50_000] + "\n", "")
+        # astral characters, whose uncounted phase runs right to left over
+        # a UTF-32 view: k = n deletes everything, k = n - 1 keeps the
+        # largest, weakly descending input keeps its first half, and a
+        # seeded string agrees with greedy
+        astral = "".join(chr(0x10000 + i) for i in range(100_000))
+        assert solve(100_000, "linear", astral) == (0, "\n", "")
+        assert solve(99_999, "linear", astral) == (0, astral[-1] + "\n", "")
+        falling = "".join(chr(0x1F600 - i // 100) for i in range(100_000))
+        assert solve(50_000, "linear", falling) == (0, falling[:50_000] + "\n", "")
+        r = random.Random(23)
+        mixed = "".join(chr(r.randrange(0x10000, 0x10100)) for _ in range(2000))
+        assert solve(1000, "linear", mixed) == solve(1000, "greedy", mixed)
 
     def test_negative_k_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

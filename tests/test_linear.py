@@ -284,6 +284,25 @@ def every_kind(alphabet, max_len):
         yield from (text, tuple(text), list(text))
 
 
+class LtEq:
+    """An element that defines only ``<`` and ``==``: ``<=`` and ``>=``
+    on it raise TypeError."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return self.value < other.value
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __repr__(self):
+        return f"LtEq({self.value!r})"
+
+
 class TestUncountedPhase:
     def test_matches_brute_force(self, uncounted_from_one):
         cases = [*every_kind("123", 7), *every_kind("a\u00e9\U0001f600", 5)]
@@ -302,6 +321,43 @@ class TestUncountedPhase:
         for xs in [*every_kind("abc", 6), *every_kind("a\u00e9\U0001f600", 5)]:
             for k in range(len(xs) + 1):
                 assert count_steps(k, xs) == len(list(scan_events(k, xs))), (xs, k)
+
+    def test_elements_that_define_only_lt_and_eq(self, uncounted_from_one):
+        # the right-to-left pass compares with < alone
+        for text in all_sequences("123", 6):
+            for kind in (tuple, list):
+                xs = kind(map(LtEq, text))
+                for k in range(len(xs) + 1):
+                    got = solve_linear(k, xs)
+                    assert type(got) is kind
+                    assert got == brute_naive(k, xs), (text, k)
+
+    def test_elements_that_define_only_lt_and_eq_past_the_gate(self):
+        rng = random.Random(24)
+        gate = dropk.linear._UNCOUNTED_MIN
+        for n in (200, 700):
+            values = [rng.randrange(12) for _ in range(n)]
+            for k in (gate, rng.randint(gate, n), n):
+                for kind in (tuple, list):
+                    assert_scan_matches_the_replay(k, kind(map(LtEq, values)))
+
+    def test_utf32_strings_past_the_gate(self):
+        # a strictly descending string keeps every element of the
+        # prefix, an all-equal one keeps them all as ties, and k = n
+        # leaves nothing unread
+        rng = random.Random(2024)
+        gate, n = dropk.linear._UNCOUNTED_MIN, 2000
+        descending = "".join(chr(0x1F600 + n - i) for i in range(n))
+        equal = "\U0001f600" * n
+        mixed = "".join(chr(rng.choice((0x61, 0xE9, 0x4E2D, 0x1F600, 0x1F601)))
+                        for _ in range(n))
+        for text in (descending, equal, mixed):
+            for k in (gate, n // 2, n - 1, n):
+                assert_scan_matches_the_replay(k, text)
+        for text in (descending, equal):
+            for k in (gate, n // 2):
+                assert list(_scan(k, text)[0][1:]) == [ord(c) for c in text]
+                assert solve_linear(k, text) == text[: n - k]
 
     def test_long_inputs_on_both_sides_of_the_gate(self):
         # seeded inputs of 100-3,000 elements, str (Latin-1 and astral),
