@@ -200,6 +200,3 @@ def main(argv=None) -> int:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

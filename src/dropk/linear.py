@@ -47,7 +47,8 @@ the largest element kept so far, which is the largest element after
 it, and the kept elements are then turned over.  That is one
 comparison per element and no pop.  The counted loop then reads a
 UTF-32 view's ``xs[k:]``, itself a view, or a tuple's or list's own
-iterator advanced past the prefix, so the unread tail is not copied.
+iterator positioned past the prefix with ``__setstate__(k)``, so the
+unread tail is neither copied nor stepped through.
 
 Measured on Python 3.11 (2-vCPU x86-64 VM).  Against the counted loop
 alone at n = 2k, the right-to-left pass was already faster at k = 16
@@ -56,25 +57,21 @@ astral strings), broke even near k = 16-32 on alternating ``19`` (a
 pop per two elements), and took 0.49-0.56x at k = 64 on random and
 ascending digits.  Input that never pops, such as weakly descending
 input, has no pop to save and runs 1.06-1.15x slower at k = 64 and
-1.03-1.12x at k = 128.  At n = 1e6 the pass took 35-39 ms where the
-old pop loop took 128-141 ms on an ascending astral string with k = n.
-A Latin-1 level costs 120-250 ns, hit or miss.  On random digits at
-n = 2k the walk from 127 took 12-19 us from k = 64 to 4,000, where the
-old pop loop took 3.6, 14, 59 and 256 us at k = 64, 256, 1,000 and 4,000,
-so an ASCII string pays up to about 10 us more below k = 250.  A
-non-ASCII Latin-1 string walks from 255 and pays 20-50 us more from
-k = 64 to about 1,000.  At n = 1e6 the walk took 4-12 ms where the
-old pop loop took 30-46 ms on random, sorted and reverse-sorted digits,
-and 15-24 ms against 29-32 ms on its worst case, ``"\\xff"`` followed by
-zero bytes, where 254 levels miss over the whole prefix.  On the same
-bytes the right-to-left pass took 11-18 ms where the walk took 2-4 ms,
-so a Latin-1 string keeps the walk.  Below the constant, as in
-verify's calls (k <= 9), the scan is the counted loop alone.
+1.03-1.12x at k = 128.  At n = 1e6 the pass took 35-39 ms on an
+ascending astral string with k = n.  A Latin-1 level costs 120-250 ns,
+hit or miss.  On random digits at n = 2k the walk from 127 took
+12-19 us from k = 64 to 4,000, and a walk from 255, as a non-ASCII
+Latin-1 string takes, 32-40 us.  At n = 1e6 the walk took 4-12 ms on
+random, sorted and reverse-sorted digits, and 15-24 ms on its worst
+case, ``"\\xff"`` followed by zero bytes, where 254 levels miss over
+the whole prefix.  On the same bytes the right-to-left pass took
+11-18 ms where the walk took 2-4 ms, so a Latin-1 string keeps the
+walk.  Below the constant, as in verify's calls (k <= 9), the scan is
+the counted loop alone.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Iterator, NamedTuple
 
 from .core import S, check_deletion_count
@@ -138,7 +135,7 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     :func:`_push_suffix_maxima`, and any other sequence's is found right
     to left, keeping each element that no later one exceeds.  The
     counted loop then runs on ``xs[k:]`` for a string's bytes or UTF-32
-    view, and on an iterator advanced past the prefix for a tuple or a
+    view, and on an iterator positioned past the prefix for a tuple or a
     list, whose tail is not copied.
     """
     if isinstance(xs, str):
@@ -171,7 +168,7 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
         top = stack.pop()
         if isinstance(xs, (tuple, list)):  # read on in place: a copy would raise the peak
             rest = iter(xs)
-            next(islice(rest, k, k), None)
+            rest.__setstate__(k)  # positioned past the prefix in O(1)
         else:  # a string's bytes or UTF-32 view
             rest = xs[k:]
         # each of the k consumed elements was pushed once: the list holds

@@ -29,35 +29,33 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
     The greedy column reads the paper's recursion from its far end:
     ``solve_greedy(k, xs) == solve_greedy(k - 1, gstep(xs))``, so the
     row of results for every k is ``xs`` followed by the row of
-    ``solve_greedy(1, xs)``.  Every sequence one shorter was swept just
-    before, so its row is looked up, not recomputed: one hill-foot scan
-    per nonempty sequence, not n(n + 1)/2.  Only the previous length's
-    rows are kept, and none at ``max_len``.  ``row[k]`` is ``gstep``
-    applied k times, each time by the engine's own step; a step that
-    lands outside the shorter rows (a broken engine) stands in for every
-    later k and is reported as a mismatch.  The k-step loop inside
-    ``solve_greedy`` is checked exhaustively by ``tests/test_greedy.py``'s
+    ``solve_greedy(1, xs)``.  Every sequence one shorter was swept
+    before, so its row is looked up in one table, not recomputed: one
+    hill-foot scan per nonempty sequence, not n(n + 1)/2.  The table
+    holds the row of every sequence shorter than ``max_len``.  Those of
+    length ``max_len``, the most numerous, would never be read, so they
+    are not kept, which keeps the sweep's peak memory down.  ``row[k]``
+    is ``gstep`` applied k times, each time by the engine's own step; a
+    step that is not one shorter or not in the table (a broken engine)
+    stands in for every later k and is reported as a mismatch, never
+    raised.  The k-step loop inside ``solve_greedy`` is checked
+    exhaustively by ``tests/test_greedy.py``'s
     ``TestSolveGreedy.test_agrees_with_exhaustive_search``.
     """
     cases = mismatches = 0
     first: str | None = None
-    rows: dict = {}  # the greedy rows of the previous length
-    built: dict = {}
-    length = 0
+    rows: dict = {}  # the greedy row of every sequence shorter than max_len
     for xs, expected in each_all_k(sequences(alphabet, max_len)):
-        if len(xs) != length:
-            rows, built, length = built, {}, len(xs)
+        row = (xs,)
         if xs:
             step = solve_greedy(1, xs)
-            try:
-                row = (xs, *rows[step])
-            except KeyError:
+            if len(step) == len(xs) - 1 and step in rows:
+                row += rows[step]
+            else:
                 # a broken step: report it for every k instead of raising
-                row = (xs,) + (step,) * length
-        else:
-            row = (xs,)
-        if length < max_len:
-            built[xs] = row
+                row += (step,) * len(xs)
+        if len(xs) < max_len:
+            rows[xs] = row
         for k, got_greedy in enumerate(row):
             cases += 1
             got_linear = solve_linear(k, xs)

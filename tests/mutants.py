@@ -10,7 +10,9 @@ a new text.  For each mutant the runner copies ``src/``, ``tests/`` and
 there and runs the tier-1 suite in that copy with ``-x``.  The working
 tree is never written.  The exit status is 1 when any mutant survives
 (the suite passes) or any old text is not found exactly once, so the
-list cannot rot silently; otherwise 0.
+list cannot rot silently; otherwise 0.  The runner takes no arguments:
+any argument prints a usage line and exits 2 before anything is copied.
+SIGTERM stops the run and removes the temporary copy.
 
 pytest does not collect this file (it is not named ``test_*.py``), so
 tier-1 itself runs no mutant.
@@ -25,23 +27,50 @@ Left out because they are equivalent, not because they survive:
   would, so moving its gate changes speed only.
 - ``type(xs) is bytes`` -> ``False`` in ``_scan``: a Latin-1 string then
   takes the right-to-left pass, which leaves the same stack more slowly.
-- ``isinstance(xs, (tuple, list))`` -> ``False`` or ``True`` in
-  ``_scan``: a tuple's or list's tail is then copied by ``xs[k:]``, or a
-  string's bytes or view read through an advanced iterator, which
-  changes memory and speed only.
+- ``isinstance(xs, (tuple, list))`` -> ``False`` in ``_scan``: a
+  tuple's or list's tail is then copied by ``xs[k:]``, which changes
+  memory and speed only.  (``-> True`` is listed: a UTF-32 view's
+  iterator has no ``__setstate__``.)
 - ``127`` -> ``128`` in ``_push_suffix_maxima``: the walk over an ASCII
   prefix takes one more miss.
-- ``length = 0`` -> ``1`` in ``equivalence_sweep``: the empty sequence
-  comes first, and the length switch it then makes only swaps in row
-  maps that are still empty.
-- ``length < max_len`` -> ``<=`` in ``equivalence_sweep``: it keeps rows
-  nobody reads, so only memory changes.
+- ``len(xs) < max_len`` -> ``<=`` in ``equivalence_sweep``: it stores
+  the rows of the longest length, which nothing reads, so only memory
+  changes: ``dropk verify --max-len 8``'s peak RSS rose from 15,326 KB
+  to 16,472 KB (+7.5%, medians of 8 runs).
+
+Statements that can be replaced by ``pass`` with tier-1 still passing,
+each kept for the workload or the contract that pays for it (timings on
+Python 3.11.7, 2-vCPU x86-64 VM):
+
+- ``_scan``'s uncounted-phase block (``if k >= _UNCOUNTED_MIN:``): the
+  counted loop alone gives the same stack and answer, more slowly.
+  cli-solve and lib-scan pay for it (``BENCH_21.json``,
+  ``BENCH_22.json``, ``BENCH_24.json``).
+- ``solve_linear``'s Latin-1 ``decode`` branch: ``"".join(map(chr, ...))``
+  gives the same string.  Converting a 5e5-element stack of digit codes
+  took 6.5 ms by ``decode`` against 16.6 ms by ``join``, and cli-solve's
+  digits-half result (56,051 stacked digits) 0.4 against 2.3 ms.
+- ``grow_rows``' prefix sharing (the ``if type(xs) is type(prev):``
+  block, its ``while`` loop, or ``prev = xs``): every sequence then
+  builds all its rows.  verify pays for it: the naive stream up to
+  length 8 took 99 ms with sharing against 269 ms without, and the game
+  up to length 7 145 ms against 178 ms.
+- ``grow_rows``' ``rows = []`` binding: the first sequence shares
+  nothing, so its ``else`` branch binds ``rows`` before any read; the
+  binding states the variable's type for readers and type checkers.
+- ``_Top.__slots__``: the sentinel holds no state, and the empty slots
+  say so; with a ``__dict__`` it would still compare the same.
+- ``return False`` in ``_Top.__lt__`` and ``return None`` in
+  ``better_global_counterexample``: both functions then return
+  ``None`` by falling off the end, but their contracts are a bool and a
+  sequence or ``None``, spelled out.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -66,14 +95,16 @@ MUTANTS = [
     Mutant("src/dropk/verify.py", "expected[k] == got_greedy == got_linear",
            "got_greedy == got_linear", "equivalence sweep skips the naive oracle"),
     # the greedy column's rows
-    Mutant("src/dropk/verify.py", "row = (xs, *rows[step])", "row = (*rows[step], xs)",
+    Mutant("src/dropk/verify.py", "row += rows[step]", "row = rows[step] + row",
            "greedy row puts the sequence last"),
-    Mutant("src/dropk/verify.py", "row = (xs, *rows[step])", "row = (xs, *rows[step][1:], step)",
+    Mutant("src/dropk/verify.py", "row += rows[step]", "row += rows[step][1:] + (step,)",
            "greedy row of the step shifted by one"),
-    Mutant("src/dropk/verify.py", "if length < max_len:", "if length < max_len - 1:",
+    Mutant("src/dropk/verify.py", "if len(xs) < max_len:", "if len(xs) < max_len - 1:",
            "greedy rows of the next-to-last length not kept"),
-    Mutant("src/dropk/verify.py", "row = (xs,) + (step,) * length", "raise",
+    Mutant("src/dropk/verify.py", "row += (step,) * len(xs)", "raise",
            "a step outside the shorter rows raises instead of reporting"),
+    Mutant("src/dropk/verify.py", "if len(step) == len(xs) - 1 and step in rows:",
+           "if step in rows:", "a step that keeps the length reads a row of its own length"),
     Mutant("src/dropk/verify.py", "            if x < tail[0]:",
            "            if x > tail[0]:", "aux sweep's head test reversed"),
     Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet)",
@@ -168,8 +199,10 @@ MUTANTS = [
            "right-to-left maxima left newest-first"),
     Mutant("src/dropk/linear.py", "            stack.append(top)\n            stack.reverse()",
            "            stack.reverse()", "sentinel not put under the right-to-left maxima"),
-    Mutant("src/dropk/linear.py", "islice(rest, k, k)", "islice(rest, k - 1, k - 1)",
+    Mutant("src/dropk/linear.py", "rest.__setstate__(k)", "rest.__setstate__(k - 1)",
            "counted loop rereads a tuple's or list's last prefix element"),
+    Mutant("src/dropk/linear.py", "if isinstance(xs, (tuple, list)):", "if True:",
+           "a UTF-32 view's tail read through a positioned iterator"),
     Mutant("src/dropk/linear.py", "rest = xs[k:]",
            "rest = xs[k + 1 :] if type(xs) is memoryview else xs[k:]",
            "counted loop skips the element after a UTF-32 prefix"),
@@ -211,6 +244,14 @@ MUTANTS = [
     Mutant("src/dropk/greedy_condition.py", "return self.target_length == len(xs) > 0 and",
            "return len(xs) > 0 and", "witness length not checked"),
     # the argument checks
+    Mutant("src/dropk/greedy_condition.py",
+           "    _require_witness(xs, witness)\n    ours = alter", "    ours = alter",
+           "check_mono takes a wrong witness"),
+    Mutant("src/dropk/greedy_condition.py",
+           "    _require_witness(xs, witness)\n    return alter", "    return alter",
+           "check_unfoot takes a wrong witness"),
+    Mutant("src/dropk/greedy_condition.py", "    _require_witness(tail, witness)\n", "",
+           "check_mono_aux takes a wrong witness"),
     Mutant("src/dropk/greedy_condition.py", "    if len(tail) == 0:", "    if False:",
            "check_mono_aux takes an empty tail"),
     Mutant("src/dropk/greedy_condition.py", "if k < 0 or n < 0:", "if k < 0 and n < 0:",
@@ -291,7 +332,13 @@ def _passes(mutant: Mutant | None) -> bool:
         return result.returncode == 0
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python tests/mutants.py  (takes no arguments)", file=sys.stderr)
+        return 2
+    # a SIGTERM unwinds like an exception: the running suite is killed and
+    # its temporary copy removed on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     missing = [m for m in MUTANTS if _missing(m)]
     for m in missing:
         print(f"old text not found exactly once in {m.path}: {m.old!r} ({m.what})")
@@ -314,4 +361,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -326,8 +326,13 @@ class TestCheckers:
         assert check_mono("19", plan("dk"), w) is False
 
     def test_invalid_witness_rejected(self):
+        # the foot of "19" is index 0, and of "91" index 1
         with pytest.raises(ValueError, match="witness"):
             check_mono("19", plan("kd"), FootWitness(1, 2))
+        with pytest.raises(ValueError, match="witness"):
+            check_unfoot("19", plan("kd"), FootWitness(1, 2))
+        with pytest.raises(ValueError, match="witness"):
+            check_mono_aux("9", "91", FootWitness(0, 2))
 
     @pytest.mark.parametrize("checker", [check_mono, check_unfoot])
     def test_plan_of_wrong_length_rejected(self, checker):

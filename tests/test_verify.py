@@ -22,6 +22,7 @@ def test_empty_alphabet_raises(sweep):
 @pytest.mark.parametrize("step", [
     lambda xs: xs[:-1],  # deletes the last element instead of the foot
     lambda xs: xs[2:],  # deletes two: lands outside the shorter rows, must report
+    lambda xs: xs[1:] + xs[:1],  # deletes none: lands on a row of its own length, must report
 ])
 def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
     # every greedy row starts with solve_greedy(1, ·), so a broken greedy
@@ -29,7 +30,7 @@ def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
     monkeypatch.setattr(dropk.greedy, "gstep", step)
     report = equivalence_sweep(4, "123")
     # mismatches by how many elements the broken step deletes
-    assert report.violations == {1: 205, 2: 371}[4 - len(step("1234"))]
+    assert report.violations == {0: 426, 1: 205, 2: 371}[4 - len(step("1234"))]
     naive, greedy, linear = re.fullmatch(
         r"xs=\S+ k=\d+: naive=(\S+) greedy=(\S+) linear=(\S+)", report.first_counterexample
     ).groups()
