@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import greedy, greedy_condition, linear, oracle, verify
 from .core import drops, max_lex
@@ -65,7 +64,8 @@ def _load_input(args) -> str:
     else:
         # bytes, not text mode: text mode would turn every "\r" into "\n"
         try:
-            text = Path(args.file).read_bytes().decode("utf-8")
+            with open(args.file, "rb") as f:
+                text = f.read().decode("utf-8")
         except OSError as exc:
             raise _UsageError(str(exc))
         except UnicodeDecodeError as exc:
@@ -108,7 +108,10 @@ def cmd_verify(args) -> int:
     game_len = min(args.max_len, GAME_MAX_LEN)
     report = greedy_condition.verify_greedy_condition(game_len, alphabet)
     print(f"exchange game up to length {game_len}:")
-    print(report.summary())
+    print(f"cases: {report.cases}")
+    print(f"violations: {report.violations}")
+    if report.first_counterexample is not None:
+        print(f"first counterexample: {report.first_counterexample}")
     bad += report.violations
 
     counterexample = greedy.better_global_counterexample("1934", "4234")

@@ -10,13 +10,7 @@ is won when the rewrite deletes the foot, keeps the opponent's deletion
 count and gives a result no smaller.
 
 ``verify_greedy_condition`` plays every round up to a given length and
-reports any violation instead of raising.  The rewrite depends only on
-the plan and the foot index, so for each length it builds one table,
-at call time, of every plan's rewrite under every foot.  Each sequence's
-2^n subsequences grow from its prefix's through ``core.grow_rows``,
-shared with the sequence before, and one pick takes every plan's result
-out of them; the sound rewrites' results are picked out of those, so the
-loop rewrites nothing and builds each result once.
+reports any violation instead of raising; its docstring says how.
 """
 
 from __future__ import annotations
@@ -191,12 +185,6 @@ class VerifyReport(NamedTuple):
     maxima_checks: int
     violations: int
     first_counterexample: str | None
-
-    def summary(self) -> str:
-        lines = [f"cases: {self.cases}", f"violations: {self.violations}"]
-        if self.first_counterexample is not None:
-            lines.append(f"first counterexample: {self.first_counterexample}")
-        return "\n".join(lines)
 
 
 def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:

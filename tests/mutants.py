@@ -5,14 +5,19 @@ Run from anywhere, with the interpreter that runs the tests::
     python tests/mutants.py
 
 A mutant is a source file, an exact old text that occurs in it once and
-a new text.  For each mutant the runner copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, replaces the old text
-there and runs the tier-1 suite in that copy with ``-x``.  The working
-tree is never written.  The exit status is 1 when any mutant survives
-(the suite passes) or any old text is not found exactly once, so the
-list cannot rot silently; otherwise 0.  The runner takes no arguments:
-any argument prints a usage line and exits 2 before anything is copied.
-SIGTERM stops the run and removes the temporary copy.
+a new text.  For each mutant the runner copies ``src/``, ``tests/``,
+``perfbench/`` and ``pyproject.toml`` into a temporary directory,
+replaces the old text there and runs the tier-1 suite in that copy with
+``-x``; ``os.cpu_count()`` copies run at once, and the verdicts print in
+list order.  The working tree is never written.  The unmutated suite runs
+first, alone, and a mutant's suite that runs ``TIME_LIMIT_FACTOR`` times
+as long is stopped, with its whole process group, and counted as killed:
+a mutant that stops a loop from ending must not stall the run.  The exit
+status is 1 when any mutant survives (the suite passes) or any old text
+is not found exactly once, so the list cannot rot silently; otherwise 0.
+The runner takes no arguments: any argument prints a usage line and
+exits 2 before anything is copied.  SIGTERM stops the run, kills every
+running suite and removes the temporary copies.
 
 pytest does not collect this file (it is not named ``test_*.py``), so
 tier-1 itself runs no mutant.
@@ -75,10 +80,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import closing, suppress
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# A mutant's suite that runs this many times as long as the unmutated
+# one is stopped and counted as killed.
+TIME_LIMIT_FACTOR = 4
 
 
 class Mutant(NamedTuple):
@@ -110,6 +119,15 @@ MUTANTS = [
     Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet)",
            "verify.equivalence_sweep(args.max_len - 1, alphabet)",
            "verify's equivalence sweep skips its longest length"),
+    Mutant("src/dropk/cli.py",
+           '        print(f"first counterexample: {report.first_counterexample}")\n', "",
+           "verify hides the game's first counterexample"),
+    # the CLI's imports: neither pathlib nor dataclasses
+    Mutant("src/dropk/cli.py", "import sys\n", "import sys\nimport pathlib\n",
+           "the CLI imports pathlib"),
+    Mutant("src/dropk/greedy_condition.py", "from itertools import combinations, compress\n",
+           "import dataclasses\nfrom itertools import combinations, compress\n",
+           "a dropk module imports dataclasses"),
     Mutant("src/dropk/cli.py", "    print(linear.solve_linear(args.k, text))",
            "    print(text)", "dropk trace prints the input as its answer"),
     # output that stdout cannot take
@@ -304,7 +322,7 @@ MUTANTS = [
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
@@ -313,49 +331,101 @@ def _missing(mutant: Mutant) -> bool:
     return (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) != 1
 
 
-def _passes(mutant: Mutant | None) -> bool:
-    """Run tier-1 with ``-x`` on a copy with ``mutant`` applied, or on a
-    plain copy for ``None``; True when every test passes."""
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+def _start(mutant: Mutant | None) -> tuple[tempfile.TemporaryDirectory, subprocess.Popen]:
+    """Start tier-1 with ``-x`` on a copy with ``mutant`` applied, or on a
+    plain copy for ``None``, in a process group of its own."""
+    tmp = tempfile.TemporaryDirectory()
+    try:
+        work = Path(tmp.name)
         _copy_tree(work)
         if mutant is not None:
             target = work / mutant.path
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH="src")
-        result = subprocess.run(
+        suite = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
              "-p", "no:cacheprovider"],
-            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            cwd=work, env=dict(os.environ, PYTHONPATH="src"),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
         )
-        return result.returncode == 0
+    except BaseException:
+        tmp.cleanup()
+        raise
+    return tmp, suite
+
+
+def _stop(suite: subprocess.Popen) -> None:
+    """Kill the suite's whole process group, so nothing it started lives on."""
+    with suppress(ProcessLookupError):
+        os.killpg(suite.pid, signal.SIGKILL)
+    suite.wait()
+
+
+def _outcome(suite: subprocess.Popen, started: float, limit: float) -> str | None:
+    """``"passed"`` or ``"failed"`` once the suite has ended, ``"timeout"``
+    once it has run ``limit`` seconds (its group is then killed), else None."""
+    code = suite.poll()
+    if code is not None:
+        return "passed" if code == 0 else "failed"
+    if time.perf_counter() - started < limit:
+        return None
+    _stop(suite)
+    return "timeout"
+
+
+def _run(mutants: list, limit: float, workers: int):
+    """Yield ``(outcome, seconds)`` for each of ``mutants`` in list order,
+    running up to ``workers`` suites at once."""
+    waiting = list(enumerate(mutants))[::-1]
+    running: dict = {}  # index -> (temporary copy, suite, start time)
+    done: dict = {}  # index -> (outcome, seconds)
+    try:
+        for i in range(len(mutants)):
+            while i not in done:
+                while waiting and len(running) < workers:
+                    j, mutant = waiting.pop()
+                    running[j] = (*_start(mutant), time.perf_counter())
+                time.sleep(0.05)
+                for j, (tmp, suite, started) in list(running.items()):
+                    outcome = _outcome(suite, started, limit)
+                    if outcome is not None:
+                        done[j] = (outcome, time.perf_counter() - started)
+                        del running[j]
+                        tmp.cleanup()
+            yield done.pop(i)
+    finally:
+        # a SIGTERM, or an early close: nothing outlives the runner
+        for tmp, suite, _ in running.values():
+            _stop(suite)
+            tmp.cleanup()
 
 
 def main(argv: list[str]) -> int:
     if argv:
         print("usage: python tests/mutants.py  (takes no arguments)", file=sys.stderr)
         return 2
-    # a SIGTERM unwinds like an exception: the running suite is killed and
-    # its temporary copy removed on the way out
+    # a SIGTERM unwinds like an exception: the running suites are killed
+    # and their temporary copies removed on the way out
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     missing = [m for m in MUTANTS if _missing(m)]
     for m in missing:
         print(f"old text not found exactly once in {m.path}: {m.old!r} ({m.what})")
-    if not _passes(None):
+    ((baseline, seconds),) = _run([None], float("inf"), 1)
+    if baseline != "passed":
         # every mutant would look killed
         print("tier-1 fails on an unmutated copy")
         return 1
+    todo = [m for m in MUTANTS if m not in missing]
+    limit = TIME_LIMIT_FACTOR * seconds
+    print(f"unmutated tier-1: {seconds:.1f} s; each mutant is stopped after {limit:.0f} s",
+          flush=True)
     survivors = []
-    for m in MUTANTS:
-        if m in missing:
-            continue
-        start = time.perf_counter()
-        survived = _passes(m)
-        verdict = "SURVIVED" if survived else "killed"
-        print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {m.path}: {m.what}", flush=True)
-        if survived:
-            survivors.append(m)
+    with closing(_run(todo, limit, os.cpu_count() or 1)) as runs:
+        for m, (outcome, seconds) in zip(todo, runs):
+            verdict = {"passed": "SURVIVED", "failed": "killed", "timeout": "timeout"}[outcome]
+            print(f"{verdict:8} {seconds:5.1f} s  {m.path}: {m.what}", flush=True)
+            if outcome == "passed":
+                survivors.append(m)
     print(f"{len(MUTANTS)} mutants: {len(survivors)} survived, {len(missing)} not applicable")
     return 1 if survivors or missing else 0
 

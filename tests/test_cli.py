@@ -266,6 +266,22 @@ class TestVerify:
         assert any(line.startswith(first) for line in out.splitlines())
         assert out.splitlines()[-1] == f"result: {self.PROBLEMS[name]} problems found"
 
+    def test_game_counterexample_line(self, capsys, monkeypatch):
+        # the game's first counterexample goes unindented under its tally
+        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition",
+                            lambda n, alphabet: VerifyReport(5, 2, 1, "xs='a' plan=d altered=d"))
+        code, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert code == 1
+        lines = out.splitlines()
+        game = lines.index("exchange game up to length 3:")
+        assert lines[game + 1 : game + 4] == [
+            "cases: 5",
+            "violations: 1",
+            "first counterexample: xs='a' plan=d altered=d",
+        ]
+        assert lines[game + 4].startswith("better-global principle: ")
+        assert lines[-1] == "result: 1 problems found"
+
     def test_missing_better_global_counterexample_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(dropk.greedy, "better_global_counterexample", lambda a, b: None)
         code, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
@@ -453,12 +469,13 @@ def test_missing_required_option_exits_2(capsys, argv):
     assert "required" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_dataclasses_out():
-    # the records are plain tuples: importing the CLI must not pull in
-    # dataclasses (and with it inspect, ast and dis)
+def test_cli_import_loads_neither_pathlib_nor_dataclasses():
+    # the CLI reads --file with open() and its records are plain tuples;
+    # -S keeps a site hook from loading either module first
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, dropk.cli; print('dataclasses' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = ("import dropk.cli, sys; "
+             "print(sorted({'pathlib', 'dataclasses'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

@@ -399,19 +399,6 @@ class TestVerifyGreedyCondition:
         assert report.cases == 1
         assert report.violations == 0
 
-    def test_summary_lines(self):
-        report = verify_greedy_condition(2, "ab")
-        lines = report.summary().splitlines()
-        assert lines[0] == f"cases: {report.cases}"
-        assert lines[1] == "violations: 0"
-        assert len(lines) == 2
-
-    def test_summary_shows_counterexample_when_present(self):
-        from dropk.greedy_condition import VerifyReport
-
-        report = VerifyReport(1, 1, 1, "xs='a' plan=d altered=d")
-        assert "first counterexample: xs='a' plan=d altered=d" in report.summary()
-
     @pytest.mark.parametrize(
         "rewrite",
         [None, identity_rewrite, lossy_rewrite, listed_rewrite, lossy_listed_rewrite],

@@ -1,5 +1,7 @@
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,10 @@ from conftest import MIXED_CHARS, all_sequences, brute_naive
 from dropk.greedy import gstep, solve_greedy
 from dropk.linear import _scan, count_steps, gsolve, scan_events, solve_linear
 from dropk.oracle import solve_naive, solve_naive_all_k
+
+# the benchmark's sliding-window maximum, which calls no dropk engine
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import reference  # noqa: E402
 
 
 def descending_sequences(alphabet, max_len):
@@ -390,3 +396,23 @@ class TestUncountedPhase:
                     assert_scan_matches_the_replay(k, xs)
                 assert tuple(map(ord, solve_linear(k, text))) == solve_linear(k, points), (text, k)
                 assert count_steps(k, text) == count_steps(k, points), (text, k)
+
+
+def test_matches_an_independent_reference_at_scale():
+    # past a few thousand elements nothing else checks the scan's answer:
+    # digits on both sides of the gate and at its ends, the level walk's
+    # worst case ("\xff" then zero bytes) and a 256-level byte staircase,
+    # astral text, a tuple and a descending list
+    n = 10**5
+    rng = random.Random(6)
+    digits = "".join(rng.choices("0123456789", k=n))
+    cases = [(k, digits) for k in (1, 63, 64, 65, n // 2, n - 1, n)]
+    cases += [
+        (n // 2, "\xff" + "\x00" * (n - 1)),
+        (n // 2, "".join(chr(i % 256) for i in range(n))),
+        (n // 2, "".join(rng.choices("a\u00e9\u4e2d\U0001f600\U0001f601", k=n))),
+        (n // 2, tuple(rng.choices(range(1000), k=n))),
+        (n // 2, list(range(n, 0, -1))),
+    ]
+    for k, xs in cases:
+        assert solve_linear(k, xs) == reference(k, xs), (type(xs).__name__, xs[:3], k)

@@ -1,11 +1,15 @@
-"""The mutation runner's own command line: ``tests/mutants.py``."""
+"""The mutation runner, ``tests/mutants.py``: its command line and its
+time limit."""
 
 import os
 import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
+
+import mutants
 
 RUNNER = Path(__file__).resolve().parent / "mutants.py"
 
@@ -40,3 +44,43 @@ def test_sigterm_removes_the_copy(tmp_path):
         run.kill()
         run.wait()
     assert copies(tmp_path) == []
+
+
+def running(pid: int) -> bool:
+    """Is ``pid`` a live process (not gone, not a zombie)?  Reads Linux's /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def test_a_suite_past_its_limit_is_stopped_with_its_group(tmp_path):
+    # a suite that never ends, with a child of its own that never ends
+    script = ("import subprocess, sys\n"
+              "child = subprocess.Popen([sys.executable, '-c', 'while True: pass'])\n"
+              "open(sys.argv[1], 'w').write(str(child.pid))\n"
+              "while True: pass\n")
+    pid_file = tmp_path / "child"
+    suite = subprocess.Popen([sys.executable, "-c", script, str(pid_file)],
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert time.monotonic() < deadline and suite.poll() is None
+            time.sleep(0.01)
+        started = time.perf_counter()
+        while (outcome := mutants._outcome(suite, started, 0.3)) is None:
+            time.sleep(0.01)
+        assert outcome == "timeout"
+        assert suite.returncode == -signal.SIGKILL
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while running(child):
+            assert time.monotonic() < deadline, "the suite's child outlived it"
+            time.sleep(0.01)
+    finally:
+        # whatever the verdict, leave no process of the group behind
+        with suppress(ProcessLookupError):
+            os.killpg(suite.pid, signal.SIGKILL)
+        suite.wait()
