@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 when a verification sweep finds a violation,
 from __future__ import annotations
 
 import argparse
+import marshal
 import os
 import sys
 
@@ -87,6 +88,44 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _beside(job, work):
+    """``(work(), job())``, with ``job`` run in a forked child while
+    ``work`` runs in this process.
+
+    ``job``'s result must be something ``marshal`` writes.  The child
+    sends it back through a pipe and leaves by ``os._exit``, which flushes
+    none of the output buffers it shares with this process.  The child is
+    reaped whatever ``work`` does, and one that fails or sends nothing
+    raises ``RuntimeError`` here.  Without ``os.fork``, ``job`` runs
+    after ``work``, in this process."""
+    if not hasattr(os, "fork"):
+        return work(), job()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(job()))
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        done = work()
+    finally:
+        with open(read, "rb") as pipe:
+            sent = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if status or not sent:
+        raise RuntimeError(f"the forked sweeps failed (exit code "
+                           f"{os.waitstatus_to_exitcode(status)}, {len(sent)} bytes sent)")
+    return done, marshal.loads(sent)
+
+
 def cmd_verify(args) -> int:
     alphabet = args.alphabet
     if not alphabet or len(set(alphabet)) != len(alphabet):
@@ -97,16 +136,24 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--max-len is capped at {EQUIV_MAX_LEN}")
 
     bad = 0
+    game_len = min(args.max_len, GAME_MAX_LEN)
+    aux_len = min(args.max_len, AUX_MAX_LEN)
 
-    equivalence = verify.equivalence_sweep(args.max_len, alphabet)
+    def game_and_aux():
+        # marshal writes plain tuples, not NamedTuples
+        return (tuple(greedy_condition.verify_greedy_condition(game_len, alphabet)),
+                tuple(verify.mono_aux_sweep(aux_len, alphabet)))
+
+    equivalence, sweeps = _beside(
+        game_and_aux, lambda: verify.equivalence_sweep(args.max_len, alphabet))
+    report, aux = map(greedy_condition.VerifyReport._make, sweeps)
+
     print(f"engine equivalence up to length {args.max_len}: "
           f"{equivalence.cases} cases, {equivalence.violations} mismatches")
     if equivalence.first_counterexample is not None:
         print(f"  first mismatch: {equivalence.first_counterexample}")
     bad += equivalence.violations
 
-    game_len = min(args.max_len, GAME_MAX_LEN)
-    report = greedy_condition.verify_greedy_condition(game_len, alphabet)
     print(f"exchange game up to length {game_len}:")
     print(f"cases: {report.cases}")
     print(f"violations: {report.violations}")
@@ -125,8 +172,6 @@ def cmd_verify(args) -> int:
         print("better-global principle: counterexample NOT found (one was expected)")
         bad += 1
 
-    aux_len = min(args.max_len, AUX_MAX_LEN)
-    aux = verify.mono_aux_sweep(aux_len, alphabet)
     print(f"prefix-dominance sweep up to tail length {aux_len}: "
           f"{aux.cases} cases, {aux.violations} violations")
     if aux.first_counterexample is not None:

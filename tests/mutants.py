@@ -120,8 +120,19 @@ MUTANTS = [
            "verify.equivalence_sweep(args.max_len - 1, alphabet)",
            "verify's equivalence sweep skips its longest length"),
     Mutant("src/dropk/cli.py",
-           '        print(f"first counterexample: {report.first_counterexample}")\n', "",
+           'print(f"first counterexample: {report.first_counterexample}")', "pass",
            "verify hides the game's first counterexample"),
+    # the game and the prefix-dominance sweep in a forked child
+    Mutant("src/dropk/cli.py", "if status or not sent:", "if not sent:",
+           "verify ignores the child's exit status"),
+    Mutant("src/dropk/cli.py", "report, aux = map(", "aux, report = map(",
+           "the game's and the prefix-dominance sweep's reports swapped on the way back"),
+    Mutant("src/dropk/cli.py", "os._exit(code)", "sys.exit(code)",
+           "the child leaves by sys.exit and flushes its parent's buffers"),
+    Mutant("src/dropk/cli.py", "_, status = os.waitpid(pid, 0)", "status = 0",
+           "the child is never reaped"),
+    Mutant("src/dropk/cli.py", "return work(), job()", "return work(), work()",
+           "without os.fork the child's sweeps never run"),
     # the CLI's imports: neither pathlib nor dataclasses
     Mutant("src/dropk/cli.py", "import sys\n", "import sys\nimport pathlib\n",
            "the CLI imports pathlib"),

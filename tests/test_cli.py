@@ -191,19 +191,20 @@ class TestVerify:
         assert "counterexample confirmed" in out
         assert "all checks passed" in out
 
+    GOLDEN = "\n".join([
+        "engine equivalence up to length 4: 547 cases, 0 mismatches",
+        "exchange game up to length 4:",
+        "cases: 1434",
+        "violations: 0",
+        "better-global principle: counterexample confirmed "
+        "('934' from '1934' beats best single drop '434' of '4234')",
+        "prefix-dominance sweep up to tail length 4: 240 cases, 0 violations",
+        "result: all checks passed",
+    ]) + "\n"
+
     def test_golden_output(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-len", "4", "--alphabet", "123")
-        assert code == 0
-        assert out == "\n".join([
-            "engine equivalence up to length 4: 547 cases, 0 mismatches",
-            "exchange game up to length 4:",
-            "cases: 1434",
-            "violations: 0",
-            "better-global principle: counterexample confirmed "
-            "('934' from '1934' beats best single drop '434' of '4234')",
-            "prefix-dominance sweep up to tail length 4: 240 cases, 0 violations",
-            "result: all checks passed",
-        ]) + "\n"
+        assert code == 0 and out == self.GOLDEN
 
     def test_single_letter_alphabet(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-len", "1", "--alphabet", "a")
@@ -220,19 +221,62 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_len", [6, 7, 8, 9])
     def test_sweep_lengths(self, capsys, monkeypatch, max_len):
-        # the sweeps only record their lengths, so no long sweep runs
-        lengths = []
-
+        # each sweep reports its length as its case count, so no long
+        # sweep runs and the lengths come back from the forked child too
         def recorded(n, alphabet):
-            lengths.append(n)
-            return VerifyReport(1, 0, 0, None)
+            return VerifyReport(n, 0, 0, None)
 
         monkeypatch.setattr(dropk.verify, "equivalence_sweep", recorded)
         monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", recorded)
         monkeypatch.setattr(dropk.verify, "mono_aux_sweep", recorded)
         code, out, _ = run(capsys, "verify", "--max-len", str(max_len), "--alphabet", "123")
         assert code == 0 and out.endswith("result: all checks passed\n")
-        assert lengths == [max_len, min(max_len, 7), min(max_len, 6)]
+        game, aux = min(max_len, 7), min(max_len, 6)
+        lines = out.splitlines()
+        assert lines[0] == f"engine equivalence up to length {max_len}: {max_len} cases, 0 mismatches"
+        assert lines[1:3] == [f"exchange game up to length {game}:", f"cases: {game}"]
+        assert lines[-2] == f"prefix-dominance sweep up to tail length {aux}: {aux} cases, 0 violations"
+
+    def test_a_failing_child_gives_no_verdict(self, capsys, monkeypatch):
+        # the game raises in the forked child: the command fails as a
+        # crashing sweep always has, and the child is reaped
+        def crash(n, alphabet):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", crash)
+        with pytest.raises(RuntimeError):
+            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert "result:" not in capsys.readouterr().out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_exits_nonzero_gives_no_verdict(self, capsys, monkeypatch):
+        # its reports arrive, but a child that did not exit cleanly is a failure
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(code + 3))
+        with pytest.raises(RuntimeError):
+            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert "result:" not in capsys.readouterr().out
+
+    def test_without_fork_the_sweeps_run_in_process(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run(capsys, "verify", "--max-len", "4", "--alphabet", "123")
+        assert (code, out, err) == (0, self.GOLDEN, "")
+
+    def test_unflushed_output_is_written_once(self):
+        # the child leaves by os._exit, so it never flushes the stdout
+        # buffer it shares with its parent
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        script = ("import sys, dropk.cli\n"
+                  "print('before', end='')\n"
+                  "sys.exit(dropk.cli.main(['verify', '--max-len', '2', '--alphabet', '12']))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=str(src)))
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.count("before") == 1
+        assert done.stdout.startswith("beforeengine equivalence up to length 2: ")
+        assert done.stdout.count("result: all checks passed") == 1
 
     def test_alphabet_must_be_distinct(self, capsys):
         code, _, err = run(capsys, "verify", "--max-len", "2", "--alphabet", "aab")
