@@ -9,14 +9,15 @@ keep/delete instructions and ``alter`` is the rewriting strategy;
 is won when the rewrite deletes the foot, keeps the opponent's deletion
 count and gives a result no smaller.
 
-``verify_greedy_condition`` plays every round up to a given length and
-reports any violation instead of raising; its docstring says how.
+``verify_greedy_condition`` plays every round up to a given length, as
+one loop over a per-length table of rounds, and reports any violation
+instead of raising.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import itemgetter, lt, not_
+from operator import not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import grow_rows, lex_le, rebuild, sequences
@@ -199,58 +200,36 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     never raised; only an empty alphabet or ``max_len < 1`` raises
     ``ValueError``.
 
-    A rewrite depends only on the plan and the foot, never on the
-    sequence, so each length is played from a table built through
-    ``_alter`` when the one :func:`dropk.core.sequences` stream reaches
-    it: per foot, every plan's rewrite.  A sound rewrite is itself one
-    of the d-deletion plans, so its result is already among the
-    opponents' results.  Every subsequence of a sequence is grown once,
-    as the sequence's own kind, by :func:`dropk.core.grow_rows`, from
-    those of the prefix it shares with the sequence before.  A sequence
-    then costs one pick of every plan's result, one pick of the sound
-    rewrites' results, one ``sum(map(lt, ...))`` over all its rounds,
-    and a max of all and of the foot-deleting results per d.  A rewrite
-    that is not a plan of d deletions over the same length, or that
-    keeps the foot, is left out of the pick: it loses on every sequence.
+    Every subsequence of a sequence is grown once, as the sequence's own
+    kind, by :func:`dropk.core.grow_rows`, and :func:`_game_table` gives
+    the rounds of its length and foot as indices into them, so a round
+    is two lookups and a comparison.  The rounds run d by d, each d in
+    :func:`enumerate_plans` order and closed by its maxima check, so the
+    first round lost is the first counterexample.
     """
     cases = maxima_checks = violations = n = 0
     first: str | None = None
     for xs, subs in grow_rows(sequences(alphabet, max_len, 1), _double_row):
         if len(xs) != n:
             n = len(xs)
-            plans, pick, rows = _game_table(n)
-        altered, sound, ours_get, maxima = rows[foot_witness(xs).index]
-        adversary = pick(subs)
-        ours = ours_get(adversary)
-        cases += len(plans)
+            table = _game_table(n)
+        foot = foot_witness(xs).index
         maxima_checks += n
-        lost = len(adversary) - len(ours) + sum(map(lt, ours, compress(adversary, sound)))
-        if lost:
-            violations += lost
-            if first is None:
-                # the first plan whose rewrite is unsound or loses on value
-                ours_iter = iter(ours)
-                i = next(i for i, ok in enumerate(sound)
-                         if not ok or next(ours_iter) < adversary[i])
-                first = f"xs={xs!r} plan={DelPlan(plans[i])} altered={DelPlan(altered[i])}"
-        for span, deletes_foot in maxima:
-            results = adversary[span]
-            if max(compress(results, deletes_foot)) < max(results):
+        result_of = subs.__getitem__
+        for rounds, kept, deletes_foot in table[foot]:
+            cases += len(rounds)
+            for theirs, ours in rounds:
+                if ours is None or subs[ours] < subs[theirs]:
+                    violations += 1
+                    if first is None:
+                        plan = DelPlan(tuple(not theirs >> i & 1 for i in range(n)))
+                        altered = DelPlan(_alter(plan.actions, foot))
+                        first = f"xs={xs!r} plan={plan} altered={altered}"
+            if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):
                 # no message: a plan reaching the best keeps the foot, so
                 # its rewrite, unsound or below the best, already lost above
                 violations += 1
     return VerifyReport(cases, maxima_checks, violations, first)
-
-
-def _getter(kept: tuple[int, ...]):
-    """``xs -> tuple(xs[i] for i in kept)``.  ``itemgetter`` alone
-    returns a bare element for one index and cannot take none."""
-    if len(kept) > 1:
-        return itemgetter(*kept)
-    if kept:
-        (i,) = kept
-        return lambda xs: (xs[i],)
-    return lambda xs: ()
 
 
 def _double_row(row: list, c) -> list:
@@ -260,35 +239,32 @@ def _double_row(row: list, c) -> list:
     return row + [r + c for r in row]
 
 
-def _game_table(n: int) -> tuple:
+def _game_table(n: int) -> list:
     """Every round over length ``n`` with the sequence left out.
 
-    The plans are those of every d >= 1 in order, d first, then
-    :func:`enumerate_plans` order.  The table holds them, one ``pick``
-    that takes every plan's result out of a sequence's subsequences, as
-    :func:`_double_row` orders them, and, per foot: the rewrites, which
-    rewrites are sound (a plan over length ``n`` with the opponent's
-    deletion count that deletes the foot), one getter that picks the
-    sound rewrites' results out of the opponents' results, and, per d,
-    the slice of the d-deletion plans with which of them delete the foot.
+    A plan, and its result, is named by its index into a sequence's
+    subsequences as :func:`_double_row` orders them: the mask of the
+    positions it keeps.  Per foot, then per d >= 1, the table holds the
+    rounds in :func:`enumerate_plans` order, each the plan's index and its
+    rewrite's, with ``None`` for a rewrite that is not a plan over length
+    ``n`` with d deletions that deletes the foot; then the indices of the
+    d-deletion plans, shared by every foot, and of those deleting the
+    foot.  A rewrite is judged by its positions, whatever sequence kind
+    ``_alter`` hands back.
     """
     groups = [[p.actions for p in enumerate_plans(d, n)] for d in range(1, n + 1)]
-    plans = [actions for group in groups for actions in group]
-    pick = _getter(tuple(sum(1 << i for i, a in enumerate(actions) if a == KEEP)
-                         for actions in plans))
-    index = {actions: i for i, actions in enumerate(plans)}
-    spans, start = [], 0
-    for group in groups:
-        spans.append(slice(start, start + len(group)))
-        start += len(group)
-    rows = []
+    kept = {actions: sum(1 << i for i, a in enumerate(actions) if a == KEEP)
+            for group in groups for actions in group}
+    masks = [[kept[actions] for actions in group] for group in groups]
+    table = []
     for foot in range(n):
-        # a rewrite is judged by its positions, whatever sequence kind
-        # _alter hands back
-        altered = [tuple(_alter(actions, foot)) for actions in plans]
-        sound = bytes(a in index and sum(a) == sum(actions) and bool(a[foot])
-                      for a, actions in zip(altered, plans))
-        ours_get = _getter(tuple(index[a] for a, ok in zip(altered, sound) if ok))
-        maxima = [(span, bytes(actions[foot] for actions in plans[span])) for span in spans]
-        rows.append((altered, sound, ours_get, maxima))
-    return plans, pick, rows
+        rows = []
+        for d, (group, plans_kept) in enumerate(zip(groups, masks), 1):
+            rounds = []
+            for actions in group:
+                a = tuple(_alter(actions, foot))
+                sound = a in kept and sum(a) == d and a[foot]
+                rounds.append((kept[actions], kept[a] if sound else None))
+            rows.append((rounds, plans_kept, [kept[a] for a in group if a[foot]]))
+        table.append(rows)
+    return table

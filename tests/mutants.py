@@ -58,8 +58,8 @@ Python 3.11.7, 2-vCPU x86-64 VM):
 - ``grow_rows``' prefix sharing (the ``if type(xs) is type(prev):``
   block, its ``while`` loop, or ``prev = xs``): every sequence then
   builds all its rows.  verify pays for it: the naive stream up to
-  length 8 took 99 ms with sharing against 269 ms without, and the game
-  up to length 7 145 ms against 178 ms.
+  length 8 took 41 ms with sharing against 108 ms without, and the game
+  up to length 7 68 ms against 79 ms (fastest of 9 interleaved runs).
 - ``grow_rows``' ``rows = []`` binding: the first sequence shares
   nothing, so its ``else`` branch binds ``rows`` before any read; the
   binding states the variable's type for readers and type checkers.
@@ -131,6 +131,9 @@ MUTANTS = [
            "the child leaves by sys.exit and flushes its parent's buffers"),
     Mutant("src/dropk/cli.py", "_, status = os.waitpid(pid, 0)", "status = 0",
            "the child is never reaped"),
+    Mutant("src/dropk/cli.py", "    try:\n        done = work()\n    finally:\n",
+           "    done = work()\n    if True:\n",
+           "the child is reaped only when the equivalence sweep returns"),
     Mutant("src/dropk/cli.py", "return work(), job()", "return work(), work()",
            "without os.fork the child's sweeps never run"),
     # the CLI's imports: neither pathlib nor dataclasses
@@ -304,30 +307,37 @@ MUTANTS = [
     Mutant("src/dropk/greedy_condition.py", "        if len(xs) != n:", "        if not n:",
            "game keeps the table of length 1"),
     Mutant("src/dropk/greedy_condition.py", "if a == KEEP)\n", "if a == DEL)\n",
-           "game pick reads bit i as deleted"),
+           "game table reads bit i as deleted"),
     Mutant("src/dropk/greedy_condition.py", "return row + [r + c for r in row]",
            "return [r + c for r in row] + row", "game's subsequence halves swapped"),
     Mutant("src/dropk/greedy_condition.py", "maxima_checks += n", "maxima_checks += 1",
            "game counts one maxima check per sequence"),
-    Mutant("src/dropk/greedy_condition.py", "a in index and sum(a) == sum(actions) and ",
-           "a in index and ", "sound ignores the deletion count"),
-    Mutant("src/dropk/greedy_condition.py", "sum(a) == sum(actions) and bool(a[foot])",
-           "sum(a) == sum(actions)", "sound ignores the foot"),
-    Mutant("src/dropk/greedy_condition.py", "altered = [tuple(_alter(actions, foot))",
-           "altered = [(_alter(actions, foot))", "rewrite not judged by its positions"),
-    Mutant("src/dropk/greedy_condition.py", "lost = len(adversary) - len(ours) + ", "lost = ",
+    Mutant("src/dropk/greedy_condition.py", "a in kept and sum(a) == d and a[foot]",
+           "a in kept and a[foot]", "sound ignores the deletion count"),
+    Mutant("src/dropk/greedy_condition.py", "a in kept and sum(a) == d and a[foot]",
+           "a in kept and sum(a) == d", "sound ignores the foot"),
+    Mutant("src/dropk/greedy_condition.py", "a = tuple(_alter(actions, foot))",
+           "a = _alter(actions, foot)", "rewrite not judged by its positions"),
+    Mutant("src/dropk/greedy_condition.py", "if ours is None or subs[ours] < subs[theirs]:",
+           "if ours is not None and subs[ours] < subs[theirs]:",
            "unsound rewrites are not counted"),
-    Mutant("src/dropk/greedy_condition.py", "if not ok or next(ours_iter) < adversary[i])",
-           "if not ok)", "first counterexample ignores lost values"),
+    Mutant("src/dropk/greedy_condition.py", "                    if first is None:\n",
+           "                    if True:\n", "the last lost round is reported, not the first"),
+    Mutant("src/dropk/greedy_condition.py", "                    if first is None:\n",
+           "                    if first is None and ours is None:\n",
+           "first counterexample ignores rounds lost on value"),
+    Mutant("src/dropk/greedy_condition.py", "            for actions in group:\n",
+           "            for actions in reversed(group):\n",
+           "game rounds run in reverse plan order"),
+    Mutant("src/dropk/greedy_condition.py", "[kept[a] for a in group if a[foot]]",
+           "[kept[a] for a in group if not a[foot]]", "foot-deleting masks inverted"),
     Mutant("src/dropk/greedy_condition.py",
-           "if max(compress(results, deletes_foot)) < max(results):",
-           "if max(compress(results, deletes_foot)) <= max(results):",
+           "if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):",
+           "if max(map(result_of, deletes_foot)) <= max(map(result_of, kept)):",
            "maxima check counts ties"),
     Mutant("src/dropk/greedy_condition.py",
-           "if max(compress(results, deletes_foot)) < max(results):", "if False:",
+           "if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):", "if False:",
            "maxima check dropped"),
-    Mutant("src/dropk/greedy_condition.py", "return lambda xs: (xs[i],)", "return itemgetter(i)",
-           "one-index getter returns a bare element"),
 ]
 
 

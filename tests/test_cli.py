@@ -250,6 +250,22 @@ class TestVerify:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_failing_parent_sweep_still_reaps_the_child(self, capsys, monkeypatch):
+        # the equivalence sweep raises beside a healthy child: its error
+        # goes out unchanged, and the child is reaped all the same
+        class Crash(Exception):
+            pass
+
+        def crash(n, alphabet):
+            raise Crash
+
+        monkeypatch.setattr(dropk.verify, "equivalence_sweep", crash)
+        with pytest.raises(Crash):
+            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert "result:" not in capsys.readouterr().out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_a_child_that_exits_nonzero_gives_no_verdict(self, capsys, monkeypatch):
         # its reports arrive, but a child that did not exit cleanly is a failure
         real_exit = os._exit

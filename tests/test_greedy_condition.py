@@ -15,7 +15,6 @@ from dropk.greedy_condition import (
     VerifyReport,
     _double_row,
     _game_table,
-    _getter,
     alter,
     apply_plan,
     check_mono,
@@ -424,32 +423,26 @@ class TestVerifyGreedyCondition:
         assert got == loop_verify_greedy_condition(4, alphabet)
         assert got.violations > 0
 
-    def test_getter_returns_tuples(self):
-        # itemgetter returns a bare element for one index and takes no zero
-        assert _getter(())("ab") == ()
-        assert _getter((1,))("ab") == ("b",)
-        assert _getter((0,))((7,)) == (7,)
-        assert _getter((0, 2))("abc") == ("a", "c")
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_short_rows_keep_zero_or_one(self, n):
-        # every pick agrees with apply_plan, so d = n keeps nothing and
+        # every index agrees with apply_plan, so d = n keeps nothing and
         # d = n - 1 keeps one position; distinct elements make each
-        # result name its plan, so the picks must take the right ones
-        plans, pick, rows = _game_table(n)
-        assert plans == [p.actions for d in range(1, n + 1) for p in enumerate_plans(d, n)]
+        # result name its plan, so the rounds must come in plan order
+        table = _game_table(n)
+        assert len(table) == n
         for xs, subs in grow_rows(["31425"[:n], tuple(range(n))], _double_row):
-            adversary = pick(subs)
-            assert list(adversary) == [apply_plan(xs, DelPlan(a)) for a in plans]
-            for foot, (altered, sound, ours_get, maxima) in enumerate(rows):
-                assert all(sound)
-                ours = ours_get(adversary)
-                assert list(ours) == [apply_plan(xs, DelPlan(a)) for a in altered]
-                assert sum(len(plans[span]) for span, _ in maxima) == len(plans)
-                for d, (span, deletes_foot) in enumerate(maxima, 1):
-                    assert {sum(a) for a in plans[span]} == {d}
-                    assert deletes_foot == bytes(a[foot] for a in plans[span])
-                    assert all(len(r) == n - d for r in (*adversary[span], *ours[span]))
+            for foot, rows in enumerate(table):
+                assert len(rows) == n
+                for d, (rounds, kept, deletes_foot) in enumerate(rows, 1):
+                    plans = enumerate_plans(d, n)
+                    assert len(rounds) == len(plans)
+                    for p, (theirs, ours) in zip(plans, rounds):
+                        assert subs[theirs] == apply_plan(xs, p)
+                        assert subs[ours] == apply_plan(xs, alter(p, FootWitness(foot, n)))
+                        assert len(subs[theirs]) == len(subs[ours]) == n - d
+                    assert kept == [theirs for theirs, _ in rounds]
+                    assert deletes_foot == [theirs for p, (theirs, _) in zip(plans, rounds)
+                                            if p.actions[foot]]
 
     @pytest.mark.parametrize("stream", [
         ["31425", "31452", "52413", ""],
