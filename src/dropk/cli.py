@@ -88,26 +88,38 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _beside(job, work):
-    """``(work(), job())``, with ``job`` run in a forked child while
-    ``work`` runs in this process.
+def _beside(job, work, either):
+    """``(work(), job(), either())``, with ``job`` run in a forked child
+    while ``work`` runs in this process, and ``either`` run by whichever
+    of the two finishes its own job first.
 
-    ``job``'s result must be something ``marshal`` writes.  The child
-    sends it back through a pipe and leaves by ``os._exit``, which flushes
-    none of the output buffers it shares with this process.  The child is
-    reaped whatever ``work`` does, and one that fails or sends nothing
-    raises ``RuntimeError`` here.  Without ``os.fork``, ``job`` runs
-    after ``work``, in this process."""
+    Before the fork this process puts a one-byte token in a pipe and
+    closes the pipe's write end, so a read of the emptied pipe returns
+    at once.  After its own job each process reads one byte from the
+    pipe, and only the one that gets the token runs ``either``.
+
+    The child's results must be something ``marshal`` writes.  It sends
+    ``job``'s result and ``either``'s, or ``None`` when this process took
+    the token, back through a second pipe and leaves by ``os._exit``,
+    which flushes none of the output buffers it shares with this
+    process.  The child is reaped whatever ``work`` or ``either`` does
+    here, and one that fails or sends nothing raises ``RuntimeError``.
+    Without ``os.fork``, all three run in this process."""
     if not hasattr(os, "fork"):
-        return work(), job()
+        return work(), job(), either()
+    token, claim = os.pipe()
+    os.write(claim, b".")
+    os.close(claim)
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read)
+            done = job()
+            extra = either() if os.read(token, 1) else None
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(job()))
+                pipe.write(marshal.dumps((done, extra)))
             code = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
@@ -116,14 +128,18 @@ def _beside(job, work):
     os.close(write)
     try:
         done = work()
+        claimed = os.read(token, 1)
+        extra = either() if claimed else None
     finally:
+        os.close(token)
         with open(read, "rb") as pipe:
             sent = pipe.read()
         _, status = os.waitpid(pid, 0)
     if status or not sent:
         raise RuntimeError(f"the forked sweeps failed (exit code "
                            f"{os.waitstatus_to_exitcode(status)}, {len(sent)} bytes sent)")
-    return done, marshal.loads(sent)
+    theirs, their_extra = marshal.loads(sent)
+    return done, theirs, extra if claimed else their_extra
 
 
 def cmd_verify(args) -> int:
@@ -144,15 +160,22 @@ def cmd_verify(args) -> int:
         return (tuple(greedy_condition.verify_greedy_condition(game_len, alphabet)),
                 tuple(verify.mono_aux_sweep(aux_len, alphabet)))
 
-    equivalence, sweeps = _beside(
-        game_and_aux, lambda: verify.equivalence_sweep(args.max_len, alphabet))
-    report, aux = map(greedy_condition.VerifyReport._make, sweeps)
+    # the longest length is most of the equivalence sweep; the shorter
+    # lengths go to whichever process is free first
+    longest, sweeps, shorter = _beside(
+        game_and_aux,
+        lambda: verify.equivalence_sweep(args.max_len, alphabet, args.max_len),
+        lambda: tuple(verify.equivalence_sweep(args.max_len - 1, alphabet)))
+    shorter, report, aux = map(greedy_condition.VerifyReport._make, (shorter, *sweeps))
+    cases = shorter.cases + longest.cases
+    mismatches = shorter.violations + longest.violations
+    first = shorter.first_counterexample or longest.first_counterexample
 
     print(f"engine equivalence up to length {args.max_len}: "
-          f"{equivalence.cases} cases, {equivalence.violations} mismatches")
-    if equivalence.first_counterexample is not None:
-        print(f"  first mismatch: {equivalence.first_counterexample}")
-    bad += equivalence.violations
+          f"{cases} cases, {mismatches} mismatches")
+    if first is not None:
+        print(f"  first mismatch: {first}")
+    bad += mismatches
 
     print(f"exchange game up to length {game_len}:")
     print(f"cases: {report.cases}")

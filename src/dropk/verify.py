@@ -16,9 +16,15 @@ from .linear import solve_linear
 from .oracle import each_all_k
 
 
-def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
-    """Compare all three engines on every sequence up to ``max_len``,
-    for every deletion count.
+def equivalence_sweep(max_len: int, alphabet, min_len: int = 0) -> VerifyReport:
+    """Compare all three engines on every sequence of length ``min_len``
+    to ``max_len``, for every deletion count.
+
+    The lengths are those of :func:`dropk.core.sequences`, so
+    ``equivalence_sweep(m, a, m)`` and ``equivalence_sweep(m - 1, a)``
+    split ``equivalence_sweep(m, a)``: their cases and mismatches add up
+    to its own, and its first mismatch is the shorter part's when that
+    has one.  ``min_len > max_len`` raises ``ValueError``.
 
     The naive column comes from :func:`dropk.oracle.each_all_k`, which
     grows each sequence's answers through :func:`dropk.core.grow_rows`
@@ -32,20 +38,22 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
     ``solve_greedy(1, xs)``.  Every sequence one shorter was swept
     before, so its row is looked up in one table, not recomputed: one
     hill-foot scan per nonempty sequence, not n(n + 1)/2.  The table
-    holds the row of every sequence shorter than ``max_len``.  Those of
-    length ``max_len``, the most numerous, would never be read, so they
-    are not kept, which keeps the sweep's peak memory down.  ``row[k]``
-    is ``gstep`` applied k times, each time by the engine's own step; a
-    step that is not one shorter or not in the table (a broken engine)
-    stands in for every later k and is reported as a mismatch, never
-    raised.  The k-step loop inside ``solve_greedy`` is checked
-    exhaustively by ``tests/test_greedy.py``'s
+    holds the row of every sequence shorter than ``max_len``; the rows
+    below ``min_len`` are built first, the same way, and not compared.
+    Those of length ``max_len``, the most numerous, would never be read,
+    so they are not kept, which keeps the sweep's peak memory down.
+    ``row[k]`` is ``gstep`` applied k times, each time by the engine's
+    own step; a step that is not one shorter or not in the table (a
+    broken engine) stands in for every later k and is reported as a
+    mismatch, never raised.  The k-step loop inside ``solve_greedy`` is
+    checked exhaustively by ``tests/test_greedy.py``'s
     ``TestSolveGreedy.test_agrees_with_exhaustive_search``.
     """
-    cases = mismatches = 0
-    first: str | None = None
+    if min_len > max_len:
+        raise ValueError("max_len must be >= min_len")
     rows: dict = {}  # the greedy row of every sequence shorter than max_len
-    for xs, expected in each_all_k(sequences(alphabet, max_len)):
+
+    def greedy_row(xs):
         row = (xs,)
         if xs:
             step = solve_greedy(1, xs)
@@ -54,6 +62,15 @@ def equivalence_sweep(max_len: int, alphabet) -> VerifyReport:
             else:
                 # a broken step: report it for every k instead of raising
                 row += (step,) * len(xs)
+        return row
+
+    if min_len:
+        for xs in sequences(alphabet, min_len - 1):
+            rows[xs] = greedy_row(xs)
+    cases = mismatches = 0
+    first: str | None = None
+    for xs, expected in each_all_k(sequences(alphabet, max_len, min_len)):
+        row = greedy_row(xs)
         if len(xs) < max_len:
             rows[xs] = row
         for k, got_greedy in enumerate(row):

@@ -60,6 +60,10 @@ Python 3.11.7, 2-vCPU x86-64 VM):
   builds all its rows.  verify pays for it: the naive stream up to
   length 8 took 41 ms with sharing against 108 ms without, and the game
   up to length 7 68 ms against 79 ms (fastest of 9 interleaved runs).
+- ``equivalence_sweep``'s ``min_len > max_len`` check: without it
+  ``sequences`` raises the same ``ValueError``, but only after the
+  greedy rows below ``min_len`` are built, whose number grows
+  exponentially with ``min_len``.
 - ``grow_rows``' ``rows = []`` binding: the first sequence shares
   nothing, so its ``else`` branch binds ``rows`` before any read; the
   binding states the variable's type for readers and type checkers.
@@ -116,9 +120,24 @@ MUTANTS = [
            "if step in rows:", "a step that keeps the length reads a row of its own length"),
     Mutant("src/dropk/verify.py", "            if x < tail[0]:",
            "            if x > tail[0]:", "aux sweep's head test reversed"),
-    Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet)",
-           "verify.equivalence_sweep(args.max_len - 1, alphabet)",
+    Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len, alphabet, args.max_len)",
+           "verify.equivalence_sweep(args.max_len - 1, alphabet, args.max_len - 1)",
            "verify's equivalence sweep skips its longest length"),
+    Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len - 1, alphabet)",
+           "verify.equivalence_sweep(args.max_len - 2, alphabet)",
+           "verify's equivalence sweep skips its next-to-last length"),
+    Mutant("src/dropk/cli.py", "verify.equivalence_sweep(args.max_len - 1, alphabet)",
+           "verify.equivalence_sweep(args.max_len, alphabet)",
+           "verify's equivalence sweep covers its longest length twice"),
+    Mutant("src/dropk/cli.py",
+           "shorter.first_counterexample or longest.first_counterexample",
+           "longest.first_counterexample or shorter.first_counterexample",
+           "the longest length's first mismatch is reported before the shorter ones'"),
+    # the equivalence sweep's lower length bound
+    Mutant("src/dropk/verify.py", "each_all_k(sequences(alphabet, max_len, min_len))",
+           "each_all_k(sequences(alphabet, max_len))", "equivalence sweep ignores min_len"),
+    Mutant("src/dropk/verify.py", "    if min_len:\n", "    if False:\n",
+           "the greedy rows below min_len are never built"),
     Mutant("src/dropk/cli.py",
            'print(f"first counterexample: {report.first_counterexample}")', "pass",
            "verify hides the game's first counterexample"),
@@ -131,11 +150,28 @@ MUTANTS = [
            "the child leaves by sys.exit and flushes its parent's buffers"),
     Mutant("src/dropk/cli.py", "_, status = os.waitpid(pid, 0)", "status = 0",
            "the child is never reaped"),
-    Mutant("src/dropk/cli.py", "    try:\n        done = work()\n    finally:\n",
-           "    done = work()\n    if True:\n",
-           "the child is reaped only when the equivalence sweep returns"),
-    Mutant("src/dropk/cli.py", "return work(), job()", "return work(), work()",
+    Mutant("src/dropk/cli.py",
+           "    try:\n        done = work()\n        claimed = os.read(token, 1)\n"
+           "        extra = either() if claimed else None\n    finally:\n",
+           "    done = work()\n    claimed = os.read(token, 1)\n"
+           "    extra = either() if claimed else None\n    if True:\n",
+           "the child is reaped only when the parent's sweeps return"),
+    Mutant("src/dropk/cli.py", "return work(), job(), either()", "return work(), work(), either()",
            "without os.fork the child's sweeps never run"),
+    # the shorter equivalence lengths, run by the process free first
+    Mutant("src/dropk/cli.py", 'os.write(claim, b".")', 'os.write(claim, b"..")',
+           "the token is written twice: both processes sweep the shorter lengths"),
+    Mutant("src/dropk/cli.py", "claimed = os.read(token, 1)", 'claimed = b""',
+           "the parent never claims the token"),
+    Mutant("src/dropk/cli.py", "        done = work()\n        claimed = os.read(token, 1)\n",
+           "        claimed = os.read(token, 1)\n        done = work()\n",
+           "the parent claims the token before its own sweep"),
+    Mutant("src/dropk/cli.py", "    os.close(claim)\n", "",
+           "the token pipe stays open for writing: the process without the token waits"),
+    Mutant("src/dropk/cli.py", "marshal.dumps((done, extra))", "marshal.dumps((done, None))",
+           "the child's shorter report is dropped"),
+    Mutant("src/dropk/cli.py", "extra if claimed else their_extra", "their_extra",
+           "the parent's own shorter report is dropped"),
     # the CLI's imports: neither pathlib nor dataclasses
     Mutant("src/dropk/cli.py", "import sys\n", "import sys\nimport pathlib\n",
            "the CLI imports pathlib"),

@@ -14,6 +14,10 @@ from dropk.cli import main
 from dropk.greedy_condition import VerifyReport
 
 
+class Crash(Exception):
+    pass
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -221,19 +225,25 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_len", [6, 7, 8, 9])
     def test_sweep_lengths(self, capsys, monkeypatch, max_len):
-        # each sweep reports its length as its case count, so no long
-        # sweep runs and the lengths come back from the forked child too
+        # each sweep reports its lengths as its case count, so no long
+        # sweep runs and the lengths come back from the forked child too.
+        # An equivalence sweep counts 10**n for each length n it covers:
+        # its two parts add up to one 1 digit per length, 0 to max_len
         def recorded(n, alphabet):
             return VerifyReport(n, 0, 0, None)
 
-        monkeypatch.setattr(dropk.verify, "equivalence_sweep", recorded)
+        def equivalence(n, alphabet, min_len=0):
+            return VerifyReport(sum(10**i for i in range(min_len, n + 1)), 0, 0, None)
+
+        monkeypatch.setattr(dropk.verify, "equivalence_sweep", equivalence)
         monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", recorded)
         monkeypatch.setattr(dropk.verify, "mono_aux_sweep", recorded)
         code, out, _ = run(capsys, "verify", "--max-len", str(max_len), "--alphabet", "123")
         assert code == 0 and out.endswith("result: all checks passed\n")
         game, aux = min(max_len, 7), min(max_len, 6)
         lines = out.splitlines()
-        assert lines[0] == f"engine equivalence up to length {max_len}: {max_len} cases, 0 mismatches"
+        assert lines[0] == (f"engine equivalence up to length {max_len}: "
+                            f"{'1' * (max_len + 1)} cases, 0 mismatches")
         assert lines[1:3] == [f"exchange game up to length {game}:", f"cases: {game}"]
         assert lines[-2] == f"prefix-dominance sweep up to tail length {aux}: {aux} cases, 0 violations"
 
@@ -251,13 +261,14 @@ class TestVerify:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_failing_parent_sweep_still_reaps_the_child(self, capsys, monkeypatch):
-        # the equivalence sweep raises beside a healthy child: its error
-        # goes out unchanged, and the child is reaped all the same
-        class Crash(Exception):
-            pass
+        # the longest length's sweep raises beside a healthy child: its
+        # error goes out unchanged, and the child is reaped all the same
+        real = dropk.verify.equivalence_sweep
 
-        def crash(n, alphabet):
-            raise Crash
+        def crash(n, alphabet, min_len=0):
+            if min_len == n == 3:
+                raise Crash
+            return real(n, alphabet, min_len)
 
         monkeypatch.setattr(dropk.verify, "equivalence_sweep", crash)
         with pytest.raises(Crash):
@@ -265,6 +276,69 @@ class TestVerify:
         assert "result:" not in capsys.readouterr().out
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def free_first(self, monkeypatch, free, shorter):
+        """Hold up the other process's own job, so that ``free``
+        ("parent" or "child") takes the token, and run
+        ``shorter(n, alphabet)`` as the equivalence sweep's shorter
+        lengths."""
+        sweep = dropk.verify.equivalence_sweep
+        game = dropk.greedy_condition.verify_greedy_condition
+
+        def held_sweep(n, alphabet, min_len=0):
+            if min_len == 0:
+                return shorter(n, alphabet)
+            if free == "child":
+                time.sleep(0.5)
+            return sweep(n, alphabet, min_len)
+
+        def held_game(n, alphabet):
+            if free == "parent":
+                time.sleep(0.5)
+            return game(n, alphabet)
+
+        monkeypatch.setattr(dropk.verify, "equivalence_sweep", held_sweep)
+        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", held_game)
+        return sweep
+
+    @pytest.mark.parametrize("free", ["parent", "child"])
+    def test_the_process_free_first_sweeps_the_shorter_lengths(self, capsys, monkeypatch,
+                                                               tmp_path, free):
+        # each run of the shorter lengths logs the process it ran in
+        log = tmp_path / "shorter.log"
+
+        def logged(n, alphabet):
+            with open(log, "a") as f:
+                print(os.getpid(), file=f)
+            return sweep(n, alphabet)
+
+        sweep = self.free_first(monkeypatch, free, logged)
+        code, out, err = run(capsys, "verify", "--max-len", "4", "--alphabet", "123")
+        assert (code, out, err) == (0, self.GOLDEN, "")
+        ran = log.read_text().split()
+        assert len(ran) == 1
+        assert (ran[0] == str(os.getpid())) == (free == "parent")
+
+    @pytest.mark.parametrize("free, error", [("parent", Crash), ("child", RuntimeError)])
+    def test_a_failing_shorter_sweep_gives_no_verdict(self, capsys, monkeypatch, free, error):
+        # raised here, the error goes out unchanged; raised in the child,
+        # the child fails; either way the child is reaped
+        def crash(n, alphabet):
+            raise Crash
+
+        self.free_first(monkeypatch, free, crash)
+        with pytest.raises(error):
+            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert "result:" not in capsys.readouterr().out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_first_mismatch_is_the_shortest_sequences(self, capsys, monkeypatch):
+        # the shorter lengths and the longest one both mismatch: the
+        # first printed is the first in length order
+        monkeypatch.setattr(dropk.verify, "solve_linear", lambda k, xs: xs)
+        _, out, _ = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert "  first mismatch: xs='a' k=1: naive='' greedy='' linear='a'" in out.splitlines()
 
     def test_a_child_that_exits_nonzero_gives_no_verdict(self, capsys, monkeypatch):
         # its reports arrive, but a child that did not exit cleanly is a failure

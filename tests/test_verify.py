@@ -19,11 +19,19 @@ def test_empty_alphabet_raises(sweep):
         sweep(shortest - 1, "12")
 
 
-@pytest.mark.parametrize("step", [
+def test_a_sweep_over_no_lengths_raises():
+    with pytest.raises(ValueError, match="max_len must be >= min_len"):
+        equivalence_sweep(3, "12", 4)
+
+
+BROKEN_STEPS = [
     lambda xs: xs[:-1],  # deletes the last element instead of the foot
     lambda xs: xs[2:],  # deletes two: lands outside the shorter rows, must report
     lambda xs: xs[1:] + xs[:1],  # deletes none: lands on a row of its own length, must report
-])
+]
+
+
+@pytest.mark.parametrize("step", BROKEN_STEPS)
 def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
     # every greedy row starts with solve_greedy(1, ·), so a broken greedy
     # step must show up in the greedy column alone
@@ -37,9 +45,28 @@ def test_greedy_column_runs_the_real_greedy_step(monkeypatch, step):
     assert naive == linear != greedy
 
 
-def test_greedy_column_takes_one_step_per_sequence(monkeypatch):
+@pytest.mark.parametrize("step", [None, *BROKEN_STEPS])
+@pytest.mark.parametrize("max_len, alphabet", [(5, "123"), (4, (3, 1, 2))])
+def test_the_longest_length_and_the_shorter_ones_add_up(monkeypatch, step, max_len, alphabet):
+    # dropk verify sweeps the longest length and the shorter ones apart
+    # and adds the two reports up, the shorter part's first mismatch first
+    if step is not None:
+        monkeypatch.setattr(dropk.greedy, "gstep", step)
+    whole = equivalence_sweep(max_len, alphabet)
+    shorter = equivalence_sweep(max_len - 1, alphabet)
+    longest = equivalence_sweep(max_len, alphabet, max_len)
+    assert shorter.cases + longest.cases == whole.cases
+    assert shorter.violations + longest.violations == whole.violations
+    assert (shorter.first_counterexample is None) == (step is None)
+    assert whole.first_counterexample == (shorter.first_counterexample
+                                          or longest.first_counterexample)
+
+
+@pytest.mark.parametrize("min_len", [0, 1, 5, 6])
+def test_greedy_column_takes_one_step_per_sequence(monkeypatch, min_len):
     # row k of gstep(xs) is row k + 1 of xs, so each nonempty sequence
-    # costs one greedy step: 3 + 9 + ... + 729 calls, not one per k
+    # costs one greedy step: 3 + 9 + ... + 729 calls, not one per k, and
+    # the rows below min_len take theirs too, uncompared
     calls = 0
     real = dropk.verify.solve_greedy
 
@@ -49,7 +76,8 @@ def test_greedy_column_takes_one_step_per_sequence(monkeypatch):
         return real(k, xs)
 
     monkeypatch.setattr(dropk.verify, "solve_greedy", counted)
-    assert equivalence_sweep(6, "123") == VerifyReport(7108, 0, 0, None)
+    cases = sum(3**n * (n + 1) for n in range(min_len, 7))
+    assert equivalence_sweep(6, "123", min_len) == VerifyReport(cases, 0, 0, None)
     assert calls == 1092
 
 
