@@ -88,38 +88,42 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _beside(job, work, either):
-    """``(work(), job(), either())``, with ``job`` run in a forked child
-    while ``work`` runs in this process, and ``either`` run by whichever
-    of the two finishes its own job first.
+def _shared(jobs):
+    """``[job() for job in jobs]``, with the jobs shared between this
+    process and one forked child.
 
-    Before the fork this process puts a one-byte token in a pipe and
-    closes the pipe's write end, so a read of the emptied pipe returns
-    at once.  After its own job each process reads one byte from the
-    pipe, and only the one that gets the token runs ``either``.
+    Before the fork this process writes each job's index, one byte, into
+    a pipe and closes the pipe's write end, so a read of the emptied
+    pipe returns at once.  Then each process takes the next index and
+    runs that job until the pipe is empty: the jobs start in list order,
+    each in whichever process is free first, and each runs once.
 
-    The child's results must be something ``marshal`` writes.  It sends
-    ``job``'s result and ``either``'s, or ``None`` when this process took
-    the token, back through a second pipe and leaves by ``os._exit``,
-    which flushes none of the output buffers it shares with this
-    process.  The child is reaped whatever ``work`` or ``either`` does
-    here, and one that fails or sends nothing raises ``RuntimeError``.
-    Without ``os.fork``, all three run in this process."""
+    The child sends its results, which ``marshal`` must write, back by
+    index through a second pipe and leaves by ``os._exit``, which
+    flushes none of the output buffers it shares with this process.  The
+    child is reaped whatever the jobs do here, and one that fails or
+    sends nothing raises ``RuntimeError``.  Without ``os.fork``, the
+    jobs run one after another in this process."""
     if not hasattr(os, "fork"):
-        return work(), job(), either()
-    token, claim = os.pipe()
-    os.write(claim, b".")
-    os.close(claim)
+        return [job() for job in jobs]
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))
+    os.close(fill)
     read, write = os.pipe()
+
+    def run_queue():
+        done = {}
+        while index := os.read(queue, 1):
+            done[index[0]] = jobs[index[0]]()
+        return done
+
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read)
-            done = job()
-            extra = either() if os.read(token, 1) else None
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps((done, extra)))
+                pipe.write(marshal.dumps(run_queue()))
             code = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
@@ -127,19 +131,17 @@ def _beside(job, work, either):
             os._exit(code)
     os.close(write)
     try:
-        done = work()
-        claimed = os.read(token, 1)
-        extra = either() if claimed else None
+        done = run_queue()
     finally:
-        os.close(token)
+        os.close(queue)
         with open(read, "rb") as pipe:
             sent = pipe.read()
         _, status = os.waitpid(pid, 0)
     if status or not sent:
         raise RuntimeError(f"the forked sweeps failed (exit code "
                            f"{os.waitstatus_to_exitcode(status)}, {len(sent)} bytes sent)")
-    theirs, their_extra = marshal.loads(sent)
-    return done, theirs, extra if claimed else their_extra
+    done.update(marshal.loads(sent))
+    return [done[i] for i in range(len(jobs))]
 
 
 def cmd_verify(args) -> int:
@@ -155,18 +157,14 @@ def cmd_verify(args) -> int:
     game_len = min(args.max_len, GAME_MAX_LEN)
     aux_len = min(args.max_len, AUX_MAX_LEN)
 
-    def game_and_aux():
-        # marshal writes plain tuples, not NamedTuples
-        return (tuple(greedy_condition.verify_greedy_condition(game_len, alphabet)),
-                tuple(verify.mono_aux_sweep(aux_len, alphabet)))
-
-    # the longest length is most of the equivalence sweep; the shorter
-    # lengths go to whichever process is free first
-    longest, sweeps, shorter = _beside(
-        game_and_aux,
-        lambda: verify.equivalence_sweep(args.max_len, alphabet, args.max_len),
-        lambda: tuple(verify.equivalence_sweep(args.max_len - 1, alphabet)))
-    shorter, report, aux = map(greedy_condition.VerifyReport._make, (shorter, *sweeps))
+    # the longest length is most of the equivalence sweep, so it goes first
+    # and the small jobs last; marshal writes plain tuples, not NamedTuples
+    longest, report, aux, shorter = map(greedy_condition.VerifyReport._make, _shared([
+        lambda: tuple(verify.equivalence_sweep(args.max_len, alphabet, args.max_len)),
+        lambda: tuple(greedy_condition.verify_greedy_condition(game_len, alphabet)),
+        lambda: tuple(verify.mono_aux_sweep(aux_len, alphabet)),
+        lambda: tuple(verify.equivalence_sweep(args.max_len - 1, alphabet)),
+    ]))
     cases = shorter.cases + longest.cases
     mismatches = shorter.violations + longest.violations
     first = shorter.first_counterexample or longest.first_counterexample

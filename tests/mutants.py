@@ -141,37 +141,34 @@ MUTANTS = [
     Mutant("src/dropk/cli.py",
            'print(f"first counterexample: {report.first_counterexample}")', "pass",
            "verify hides the game's first counterexample"),
-    # the game and the prefix-dominance sweep in a forked child
+    # verify's jobs, shared by this process and a forked child
     Mutant("src/dropk/cli.py", "if status or not sent:", "if not sent:",
            "verify ignores the child's exit status"),
-    Mutant("src/dropk/cli.py", "report, aux = map(", "aux, report = map(",
+    Mutant("src/dropk/cli.py", "longest, report, aux, shorter = map(",
+           "longest, aux, report, shorter = map(",
            "the game's and the prefix-dominance sweep's reports swapped on the way back"),
     Mutant("src/dropk/cli.py", "os._exit(code)", "sys.exit(code)",
            "the child leaves by sys.exit and flushes its parent's buffers"),
     Mutant("src/dropk/cli.py", "_, status = os.waitpid(pid, 0)", "status = 0",
            "the child is never reaped"),
-    Mutant("src/dropk/cli.py",
-           "    try:\n        done = work()\n        claimed = os.read(token, 1)\n"
-           "        extra = either() if claimed else None\n    finally:\n",
-           "    done = work()\n    claimed = os.read(token, 1)\n"
-           "    extra = either() if claimed else None\n    if True:\n",
-           "the child is reaped only when the parent's sweeps return"),
-    Mutant("src/dropk/cli.py", "return work(), job(), either()", "return work(), work(), either()",
-           "without os.fork the child's sweeps never run"),
-    # the shorter equivalence lengths, run by the process free first
-    Mutant("src/dropk/cli.py", 'os.write(claim, b".")', 'os.write(claim, b"..")',
-           "the token is written twice: both processes sweep the shorter lengths"),
-    Mutant("src/dropk/cli.py", "claimed = os.read(token, 1)", 'claimed = b""',
-           "the parent never claims the token"),
-    Mutant("src/dropk/cli.py", "        done = work()\n        claimed = os.read(token, 1)\n",
-           "        claimed = os.read(token, 1)\n        done = work()\n",
-           "the parent claims the token before its own sweep"),
-    Mutant("src/dropk/cli.py", "    os.close(claim)\n", "",
-           "the token pipe stays open for writing: the process without the token waits"),
-    Mutant("src/dropk/cli.py", "marshal.dumps((done, extra))", "marshal.dumps((done, None))",
-           "the child's shorter report is dropped"),
-    Mutant("src/dropk/cli.py", "extra if claimed else their_extra", "their_extra",
-           "the parent's own shorter report is dropped"),
+    Mutant("src/dropk/cli.py", "    try:\n        done = run_queue()\n    finally:\n",
+           "    done = run_queue()\n    if True:\n",
+           "the child is reaped only when this process's jobs return"),
+    Mutant("src/dropk/cli.py", "os.write(fill, bytes(range(len(jobs))))",
+           "os.write(fill, bytes(range(len(jobs))) * 2)",
+           "each index is written twice: every job runs twice"),
+    Mutant("src/dropk/cli.py", "        done = run_queue()\n    finally:\n",
+           "        index = os.read(queue, 1)[0]\n        done = {index: jobs[index]()}\n"
+           "    finally:\n", "this process runs one job and stops"),
+    Mutant("src/dropk/cli.py", "    os.close(fill)\n", "",
+           "the queue's fill end stays open: a read of the emptied queue waits"),
+    Mutant("src/dropk/cli.py", "marshal.dumps(run_queue())", "marshal.dumps(run_queue() and {})",
+           "the child's results are dropped"),
+    Mutant("src/dropk/cli.py", "return [job() for job in jobs]",
+           "return [job() for job in jobs[:-1]]", "without os.fork the last job never runs"),
+    Mutant("src/dropk/cli.py", "return [done[i] for i in range(len(jobs))]",
+           "return [done[i] for i in reversed(range(len(jobs)))]",
+           "the results come back out of index order"),
     # the CLI's imports: neither pathlib nor dataclasses
     Mutant("src/dropk/cli.py", "import sys\n", "import sys\nimport pathlib\n",
            "the CLI imports pathlib"),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dropk.cli
 import dropk.greedy
 import dropk.greedy_condition
 import dropk.verify
@@ -226,7 +227,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_len", [6, 7, 8, 9])
     def test_sweep_lengths(self, capsys, monkeypatch, max_len):
         # each sweep reports its lengths as its case count, so no long
-        # sweep runs and the lengths come back from the forked child too.
+        # sweep runs and the lengths come back from either process.
         # An equivalence sweep counts 10**n for each length n it covers:
         # its two parts add up to one 1 digit per length, 0 to max_len
         def recorded(n, alphabet):
@@ -247,88 +248,54 @@ class TestVerify:
         assert lines[1:3] == [f"exchange game up to length {game}:", f"cases: {game}"]
         assert lines[-2] == f"prefix-dominance sweep up to tail length {aux}: {aux} cases, 0 violations"
 
-    def test_a_failing_child_gives_no_verdict(self, capsys, monkeypatch):
-        # the game raises in the forked child: the command fails as a
-        # crashing sweep always has, and the child is reaped
-        def crash(n, alphabet):
-            raise ZeroDivisionError
+    JOBS = ["longest", "game", "aux", "shorter"]
 
-        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", crash)
-        with pytest.raises(RuntimeError):
-            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
-        assert "result:" not in capsys.readouterr().out
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def wrap_jobs(self, monkeypatch, log, before):
+        """Have each of verify's jobs, as it starts, append ``pid index``
+        to ``log`` and call ``before(index)``."""
+        shared = dropk.cli._shared
 
-    def test_a_failing_parent_sweep_still_reaps_the_child(self, capsys, monkeypatch):
-        # the longest length's sweep raises beside a healthy child: its
-        # error goes out unchanged, and the child is reaped all the same
-        real = dropk.verify.equivalence_sweep
+        def wrapped(i, job):
+            def run_job():
+                with open(log, "a") as f:
+                    print(os.getpid(), i, file=f)
+                before(i)
+                return job()
+            return run_job
 
-        def crash(n, alphabet, min_len=0):
-            if min_len == n == 3:
-                raise Crash
-            return real(n, alphabet, min_len)
+        monkeypatch.setattr(dropk.cli, "_shared",
+                            lambda jobs: shared([wrapped(i, job) for i, job in enumerate(jobs)]))
 
-        monkeypatch.setattr(dropk.verify, "equivalence_sweep", crash)
-        with pytest.raises(Crash):
-            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
-        assert "result:" not in capsys.readouterr().out
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def free_first(self, monkeypatch, free, shorter):
-        """Hold up the other process's own job, so that ``free``
-        ("parent" or "child") takes the token, and run
-        ``shorter(n, alphabet)`` as the equivalence sweep's shorter
-        lengths."""
-        sweep = dropk.verify.equivalence_sweep
-        game = dropk.greedy_condition.verify_greedy_condition
-
-        def held_sweep(n, alphabet, min_len=0):
-            if min_len == 0:
-                return shorter(n, alphabet)
-            if free == "child":
-                time.sleep(0.5)
-            return sweep(n, alphabet, min_len)
-
-        def held_game(n, alphabet):
-            if free == "parent":
-                time.sleep(0.5)
-            return game(n, alphabet)
-
-        monkeypatch.setattr(dropk.verify, "equivalence_sweep", held_sweep)
-        monkeypatch.setattr(dropk.greedy_condition, "verify_greedy_condition", held_game)
-        return sweep
-
-    @pytest.mark.parametrize("free", ["parent", "child"])
-    def test_the_process_free_first_sweeps_the_shorter_lengths(self, capsys, monkeypatch,
-                                                               tmp_path, free):
-        # each run of the shorter lengths logs the process it ran in
-        log = tmp_path / "shorter.log"
-
-        def logged(n, alphabet):
-            with open(log, "a") as f:
-                print(os.getpid(), file=f)
-            return sweep(n, alphabet)
-
-        sweep = self.free_first(monkeypatch, free, logged)
+    @pytest.mark.parametrize("held", [0, 1, 2], ids=JOBS[:3])
+    def test_the_process_free_first_takes_the_next_job(self, capsys, monkeypatch, tmp_path,
+                                                       held):
+        # each job runs once, and while one process is held on a job the
+        # other takes every later one
+        log = tmp_path / "jobs.log"
+        self.wrap_jobs(monkeypatch, log, lambda i: i == held and time.sleep(0.5))
         code, out, err = run(capsys, "verify", "--max-len", "4", "--alphabet", "123")
         assert (code, out, err) == (0, self.GOLDEN, "")
-        ran = log.read_text().split()
-        assert len(ran) == 1
-        assert (ran[0] == str(os.getpid())) == (free == "parent")
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(i) for _, i in ran) == [0, 1, 2, 3]
+        ran_in = {int(i): pid for pid, i in ran}
+        assert all(ran_in[later] != ran_in[held] for later in range(held + 1, 4))
 
-    @pytest.mark.parametrize("free, error", [("parent", Crash), ("child", RuntimeError)])
-    def test_a_failing_shorter_sweep_gives_no_verdict(self, capsys, monkeypatch, free, error):
-        # raised here, the error goes out unchanged; raised in the child,
-        # the child fails; either way the child is reaped
-        def crash(n, alphabet):
-            raise Crash
+    @pytest.mark.parametrize("job", range(4), ids=JOBS)
+    def test_a_failing_job_gives_no_verdict(self, capsys, monkeypatch, tmp_path, job):
+        # raised here, the job's error goes out unchanged; raised in the
+        # child, the child fails.  Either way there is no verdict, and the
+        # child is reaped
+        log = tmp_path / "jobs.log"
 
-        self.free_first(monkeypatch, free, crash)
-        with pytest.raises(error):
+        def crash(i):
+            if i == job:
+                raise Crash
+
+        self.wrap_jobs(monkeypatch, log, crash)
+        with pytest.raises((Crash, RuntimeError)) as raised:
             run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        ran_here = f"{os.getpid()} {job}" in log.read_text().splitlines()
+        assert raised.type is (Crash if ran_here else RuntimeError)
         assert "result:" not in capsys.readouterr().out
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -433,25 +400,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
         assert (code, out, err) == (0, expected, "")
 
-    def test_lossy_listed_rewrite_exits_1(self, capsys, monkeypatch):
-        real = dropk.greedy_condition._alter
-
-        def lossy(actions, foot):
-            out = list(real(actions, foot))
-            lost = next((i for i, a in enumerate(out) if a and i != foot), None)
-            if lost is not None:
-                out[lost] = False
-            return out
-
-        monkeypatch.setattr(dropk.greedy_condition, "_alter", lossy)
-        code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
-        assert code == 1
-        assert "first counterexample: xs='11' plan=dd altered=kd" in out
-        assert out.splitlines()[-1] == "result: 9 problems found"
-
-    def test_lost_deletion_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_lost_deletion_exits_1(self, capsys, monkeypatch, kind):
         # a rewrite that keeps its first deletion off the foot still deletes
-        # the foot and never gives a smaller result; only the count shows it
+        # the foot and never gives a smaller result; only the count shows
+        # it, whether the rewrite comes as a list or a tuple
         real = dropk.greedy_condition._alter
 
         def lossy(actions, foot):
@@ -459,7 +412,7 @@ class TestVerify:
             lost = next((i for i, a in enumerate(out) if a and i != foot), None)
             if lost is not None:
                 out[lost] = False
-            return tuple(out)
+            return kind(out)
 
         monkeypatch.setattr(dropk.greedy_condition, "_alter", lossy)
         code, out, _ = run(capsys, "verify", "--max-len", "2", "--alphabet", "123")
