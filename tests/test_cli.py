@@ -300,6 +300,29 @@ class TestVerify:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("free, error", [("parent", Crash), ("child", RuntimeError)])
+    def test_a_failing_shorter_sweep_gives_no_verdict(self, capsys, monkeypatch, tmp_path,
+                                                      free, error):
+        # the other process is held on each job it takes, so ``free`` runs
+        # the shorter lengths, the last job: raised here, the error goes
+        # out unchanged; raised in the child, the child fails; either way
+        # the child is reaped
+        log, here = tmp_path / "jobs.log", os.getpid()
+
+        def hold_or_crash(i):
+            if (os.getpid() == here) != (free == "parent"):
+                time.sleep(0.5)
+            elif i == 3:
+                raise Crash
+
+        self.wrap_jobs(monkeypatch, log, hold_or_crash)
+        with pytest.raises(error):
+            run(capsys, "verify", "--max-len", "3", "--alphabet", "ab")
+        assert (f"{here} 3" in log.read_text().splitlines()) == (free == "parent")
+        assert "result:" not in capsys.readouterr().out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_first_mismatch_is_the_shortest_sequences(self, capsys, monkeypatch):
         # the shorter lengths and the longest one both mismatch: the
         # first printed is the first in length order
