@@ -17,7 +17,7 @@ instead of raising.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import not_
+from operator import itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import grow_rows, lex_le, rebuild, sequences
@@ -203,9 +203,13 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
     Every subsequence of a sequence is grown once, as the sequence's own
     kind, by :func:`dropk.core.grow_rows`, and :func:`_game_table` gives
     the rounds of its length and foot as indices into them, so a round
-    is two lookups and a comparison.  The rounds run d by d, each d in
-    :func:`enumerate_plans` order and closed by its maxima check, so the
-    first round lost is the first counterexample.
+    is two lookups and a comparison.  A plan that already deletes the
+    foot is its own rewrite, a tie on every sequence, so the table
+    settles those rounds and only counts them; the maxima are read
+    through the table's getters, one C call per set of results.  The
+    rounds run d by d, each d in :func:`enumerate_plans` order and
+    closed by its maxima check, so the first round lost is the first
+    counterexample.
     """
     cases = maxima_checks = violations = n = 0
     first: str | None = None
@@ -215,9 +219,8 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
             table = _game_table(n)
         foot = foot_witness(xs).index
         maxima_checks += n
-        result_of = subs.__getitem__
-        for rounds, kept, deletes_foot in table[foot]:
-            cases += len(rounds)
+        for plans, rounds, results, foot_results in table[foot]:
+            cases += plans
             for theirs, ours in rounds:
                 if ours is None or subs[ours] < subs[theirs]:
                     violations += 1
@@ -225,7 +228,7 @@ def verify_greedy_condition(max_len: int, alphabet) -> VerifyReport:
                         plan = DelPlan(tuple(not theirs >> i & 1 for i in range(n)))
                         altered = DelPlan(_alter(plan.actions, foot))
                         first = f"xs={xs!r} plan={plan} altered={altered}"
-            if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):
+            if max(foot_results(subs)) < max(results(subs)):
                 # no message: a plan reaching the best keeps the foot, so
                 # its rewrite, unsound or below the best, already lost above
                 violations += 1
@@ -245,26 +248,39 @@ def _game_table(n: int) -> list:
     A plan, and its result, is named by its index into a sequence's
     subsequences as :func:`_double_row` orders them: the mask of the
     positions it keeps.  Per foot, then per d >= 1, the table holds the
-    rounds in :func:`enumerate_plans` order, each the plan's index and its
-    rewrite's, with ``None`` for a rewrite that is not a plan over length
-    ``n`` with d deletions that deletes the foot; then the indices of the
-    d-deletion plans, shared by every foot, and of those deleting the
-    foot.  A rewrite is judged by its positions, whatever sequence kind
-    ``_alter`` hands back.
+    number of d-deletion plans; the rounds in :func:`enumerate_plans`
+    order, each the plan's index and its rewrite's, with ``None`` for a
+    rewrite that is not a plan over length ``n`` with d deletions that
+    deletes the foot; then getters of the results of the d-deletion
+    plans, shared by every foot, and of those deleting the foot.  A
+    rewrite is judged by its positions, whatever sequence kind
+    ``_alter`` hands back.  A round whose rewrite is its own plan, one
+    that already deletes the foot, is sound and ties on every sequence,
+    so it is settled here and left out of the rounds.
     """
     groups = [[p.actions for p in enumerate_plans(d, n)] for d in range(1, n + 1)]
     kept = {actions: sum(1 << i for i, a in enumerate(actions) if a == KEEP)
             for group in groups for actions in group}
-    masks = [[kept[actions] for actions in group] for group in groups]
+    results = [_results([kept[actions] for actions in group]) for group in groups]
     table = []
     for foot in range(n):
         rows = []
-        for d, (group, plans_kept) in enumerate(zip(groups, masks), 1):
+        for d, (group, plans_results) in enumerate(zip(groups, results), 1):
             rounds = []
             for actions in group:
                 a = tuple(_alter(actions, foot))
                 sound = a in kept and sum(a) == d and a[foot]
+                if sound and a == actions:
+                    continue
                 rounds.append((kept[actions], kept[a] if sound else None))
-            rows.append((rounds, plans_kept, [kept[a] for a in group if a[foot]]))
+            deletes_foot = _results([kept[a] for a in group if a[foot]])
+            rows.append((len(group), rounds, plans_results, deletes_foot))
         table.append(rows)
     return table
+
+
+def _results(indices: list[int]):
+    """A getter of the subsequences at ``indices`` as one tuple: the
+    first index is listed twice, since a getter of one index returns the
+    item itself, and the d = n group has one plan."""
+    return itemgetter(indices[0], *indices)

@@ -9,6 +9,13 @@ starts with a bottom sentinel that is never below anything (``_TOP``
 for tuple and list elements, ``_TOP_CODE`` for code points), so the loop
 never tests for an empty stack, and no deletion pops it.
 
+The scan is the greedy step by step: the greedy's state is the stack
+followed by the unread input.  For a weakly descending stack p and the
+next element y, ``hill_foot(p + [y] + rest)`` is ``len(p) - 1`` when
+``p[-1] < y`` and at least ``len(p)`` otherwise, so each pop deletes the
+state's hill foot and a push deletes nothing; at the end the state is
+weakly descending, and each deletion left cuts its foot, the last element.
+
 A string is scanned as its code points, which order as its characters
 do and compare faster: its Latin-1 bytes when every character fits in
 one, otherwise a UTF-32 view, lone surrogates included.

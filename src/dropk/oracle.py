@@ -65,6 +65,7 @@ def each_all_k(seqs: Iterable[S]) -> Iterator[tuple[S, list[S]]]:
 
 def _drop_row(row: list[S], c: S) -> list[S]:
     # with k deleted from xs + c, either c is one of the k or it follows
-    # the best of xs with k deleted
-    best = [max(row[k - 1], row[k] + c) for k in range(1, len(row))]
+    # the best of xs with k deleted; max(a, b) inline, which keeps the
+    # first candidate unless the second is strictly larger
+    best = [b if a < (b := e + c) else a for a, e in zip(row, row[1:])]
     return [row[0] + c, *best, row[-1]]

@@ -8,8 +8,10 @@ A mutant is a source file, an exact old text that occurs in it once and
 a new text.  For each mutant the runner copies ``src/``, ``tests/``,
 ``perfbench/`` and ``pyproject.toml`` into a temporary directory,
 replaces the old text there and runs the tier-1 suite in that copy with
-``-x``; ``os.cpu_count()`` copies run at once, and the verdicts print in
-list order.  The working tree is never written.  The unmutated suite runs
+``-x``, the copy's ``src`` first on the path and then the caller's
+``PYTHONPATH`` (borrowed test packages, say); ``os.cpu_count()`` copies
+run at once, and the verdicts print in list order.  The working tree is
+never written.  The unmutated suite runs
 first, alone, and a mutant's suite that runs ``TIME_LIMIT_FACTOR`` times
 as long is stopped, with its whole process group, and counted as killed:
 a mutant that stops a loop from ending must not stall the run.  The exit
@@ -58,8 +60,9 @@ Python 3.11.7, 2-vCPU x86-64 VM):
 - ``grow_rows``' prefix sharing (the ``if type(xs) is type(prev):``
   block, its ``while`` loop, or ``prev = xs``): every sequence then
   builds all its rows.  verify pays for it: the naive stream up to
-  length 8 took 41 ms with sharing against 108 ms without, and the game
-  up to length 7 68 ms against 79 ms (fastest of 9 interleaved runs).
+  length 8 took 30 ms with sharing against 86 ms without, and the game
+  up to length 7 55 ms against 67 ms (fastest of 9 interleaved
+  processes, each timing the best of 5 calls).
 - ``equivalence_sweep``'s ``min_len > max_len`` check: without it
   ``sequences`` raises the same ``ValueError``, but only after the
   greedy rows below ``min_len`` are built, whose number grows
@@ -226,6 +229,8 @@ MUTANTS = [
            "return stack, xs, len(stack) + budget, 0", "scan's early-exit consumed count"),
     Mutant("src/dropk/linear.py", "    for y in rest:\n        while top < y:",
            "    for y in rest:\n        while top <= y:", "scan pops an equal top"),
+    Mutant("src/dropk/linear.py", "if stack and stack[-1] < y:", "if stack and not y < stack[-1]:",
+           "the scan's replay pops an equal top"),
     # the uncounted first phase
     Mutant("src/dropk/linear.py", "        k = len(stack)\n", "        k = len(stack) + 1\n",
            "one deletion too many left after the uncounted phase"),
@@ -297,10 +302,10 @@ MUTANTS = [
     Mutant("src/dropk/core.py", "        if shared:", "        if True:",
            "prefix rows kept when nothing is shared"),
     # the prefix-shared naive oracle
-    Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)", "min(row[k - 1], row[k] + c)",
+    Mutant("src/dropk/oracle.py", "b if a < (b := e + c) else a", "a if a < (b := e + c) else b",
            "oracle keeps the worse candidate"),
-    Mutant("src/dropk/oracle.py", "max(row[k - 1], row[k] + c)",
-           "max(row[k - 1], row[k - 1] + c)", "oracle extends the wrong row entry"),
+    Mutant("src/dropk/oracle.py", "(b := e + c)", "(b := a + c)",
+           "oracle extends the wrong row entry"),
     # the foot witness
     Mutant("src/dropk/greedy_condition.py", "len(xs) > 0 and", "len(xs) >= 0 and",
            "witness of the empty sequence asks for its foot"),
@@ -365,12 +370,18 @@ MUTANTS = [
     Mutant("src/dropk/greedy_condition.py", "[kept[a] for a in group if a[foot]]",
            "[kept[a] for a in group if not a[foot]]", "foot-deleting masks inverted"),
     Mutant("src/dropk/greedy_condition.py",
-           "if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):",
-           "if max(map(result_of, deletes_foot)) <= max(map(result_of, kept)):",
-           "maxima check counts ties"),
+           "if max(foot_results(subs)) < max(results(subs)):",
+           "if max(foot_results(subs)) <= max(results(subs)):", "maxima check counts ties"),
     Mutant("src/dropk/greedy_condition.py",
-           "if max(map(result_of, deletes_foot)) < max(map(result_of, kept)):", "if False:",
+           "if max(foot_results(subs)) < max(results(subs)):", "if False:",
            "maxima check dropped"),
+    Mutant("src/dropk/greedy_condition.py", "itemgetter(indices[0], *indices)",
+           "itemgetter(*indices)", "a getter of one index returns the item, not a tuple"),
+    # the rounds the table settles: a plan that deletes the foot, kept as it is
+    Mutant("src/dropk/greedy_condition.py", "if sound and a == actions:", "if sound:",
+           "the table settles every sound round, lost ones included"),
+    Mutant("src/dropk/greedy_condition.py", "if sound and a == actions:", "if a == actions:",
+           "the table settles a rewrite that keeps the plan and the foot"),
 ]
 
 
@@ -399,7 +410,8 @@ def _start(mutant: Mutant | None) -> tuple[tempfile.TemporaryDirectory, subproce
         suite = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
              "-p", "no:cacheprovider"],
-            cwd=work, env=dict(os.environ, PYTHONPATH="src"),
+            cwd=work, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, ("src", os.environ.get("PYTHONPATH"))))),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
         )
     except BaseException:

@@ -303,16 +303,24 @@ class TestVerify:
     @pytest.mark.parametrize("free, error", [("parent", Crash), ("child", RuntimeError)])
     def test_a_failing_shorter_sweep_gives_no_verdict(self, capsys, monkeypatch, tmp_path,
                                                       free, error):
-        # the other process is held on each job it takes, so ``free`` runs
-        # the shorter lengths, the last job: raised here, the error goes
+        # the other process is held on each job it takes, and ``free``
+        # waits until the other has taken one, so ``free`` runs the
+        # shorter lengths, the last job, even when its first jobs end
+        # before the other process starts: raised here, the error goes
         # out unchanged; raised in the child, the child fails; either way
         # the child is reaped
         log, here = tmp_path / "jobs.log", os.getpid()
 
         def hold_or_crash(i):
-            if (os.getpid() == here) != (free == "parent"):
+            me = str(os.getpid())
+            if (me == str(here)) != (free == "parent"):
                 time.sleep(0.5)
-            elif i == 3:
+                return
+            deadline = time.monotonic() + 10
+            while all(line.split()[0] == me for line in log.read_text().splitlines()):
+                assert time.monotonic() < deadline, "the other process took no job"
+                time.sleep(0.01)
+            if i == 3:
                 raise Crash
 
         self.wrap_jobs(monkeypatch, log, hold_or_crash)

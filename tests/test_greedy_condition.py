@@ -427,22 +427,34 @@ class TestVerifyGreedyCondition:
     def test_short_rows_keep_zero_or_one(self, n):
         # every index agrees with apply_plan, so d = n keeps nothing and
         # d = n - 1 keeps one position; distinct elements make each
-        # result name its plan, so the rounds must come in plan order
+        # result name its plan, so the rounds must come in plan order.
+        # The table leaves out exactly the plans that are their own
+        # rewrite, each deleting the foot, and still counts them
         table = _game_table(n)
         assert len(table) == n
         for xs, subs in grow_rows(["31425"[:n], tuple(range(n))], _double_row):
             for foot, rows in enumerate(table):
                 assert len(rows) == n
-                for d, (rounds, kept, deletes_foot) in enumerate(rows, 1):
-                    plans = enumerate_plans(d, n)
-                    assert len(rounds) == len(plans)
-                    for p, (theirs, ours) in zip(plans, rounds):
-                        assert subs[theirs] == apply_plan(xs, p)
-                        assert subs[ours] == apply_plan(xs, alter(p, FootWitness(foot, n)))
+                witness = FootWitness(foot, n)
+                for d, (plans, rounds, results, foot_results) in enumerate(rows, 1):
+                    every = enumerate_plans(d, n)
+                    assert plans == len(every) == math.comb(n, d)
+                    theirs_results = [subs[theirs] for theirs, _ in rounds]
+                    played = [p for p in every if apply_plan(xs, p) in theirs_results]
+                    assert theirs_results == [apply_plan(xs, p) for p in played]
+                    for p, (theirs, ours) in zip(played, rounds):
+                        assert alter(p, witness) != p
+                        assert subs[ours] == apply_plan(xs, alter(p, witness))
                         assert len(subs[theirs]) == len(subs[ours]) == n - d
-                    assert kept == [theirs for theirs, _ in rounds]
-                    assert deletes_foot == [theirs for p, (theirs, _) in zip(plans, rounds)
-                                            if p.actions[foot]]
+                    for p in every:
+                        if p not in played:
+                            assert dropk.greedy_condition._alter(p.actions, foot) == p.actions
+                            assert p.actions[foot]
+                    # a getter lists its first index twice
+                    expected = [apply_plan(xs, p) for p in every]
+                    assert results(subs) == (expected[0], *expected)
+                    expected = [apply_plan(xs, p) for p in every if p.actions[foot]]
+                    assert foot_results(subs) == (expected[0], *expected)
 
     @pytest.mark.parametrize("stream", [
         ["31425", "31452", "52413", ""],

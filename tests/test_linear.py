@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dropk.linear
 from conftest import MIXED_CHARS, all_sequences, brute_naive
-from dropk.greedy import gstep, solve_greedy
+from dropk.greedy import gstep, hill_foot, solve_greedy
 from dropk.linear import _scan, count_steps, gsolve, scan_events, solve_linear
 from dropk.oracle import solve_naive, solve_naive_all_k
 
@@ -277,6 +277,48 @@ class TestScanEvents:
                     assert all(stack[j] >= stack[j + 1] for j in range(len(stack) - 1))
                 kept = stack[: len(stack) - event.k]
                 assert "".join(kept) + xs[event.index :] == solve_linear(k, xs)
+
+
+def assert_pops_delete_hill_feet(k, xs):
+    # before every step the greedy's state is the stack followed by the
+    # unread input, and each POP deletes that state's hill foot; at
+    # FINISH the state is weakly descending (its foot is its last
+    # element, and so is every prefix's), so each deletion left cuts
+    # the last element, and what remains is the linear engine's answer.
+    # hill_foot stops at the first ascent, so whether the foot is the
+    # top of the stack shows in the stack and the next element alone
+    stack = []
+    for action, element, left, index, depth in scan_events(k, xs):
+        if action == "POP":
+            assert hill_foot(stack + [xs[index]]) == depth - 1, (xs, k)
+            stack.pop()
+        elif action == "PUSH":
+            stack.append(element)
+    state = stack + list(xs[index:])
+    if left:
+        assert hill_foot(state) == len(state) - 1, (xs, k)
+    assert state[: len(state) - left] == list(solve_linear(k, xs)), (xs, k)
+
+
+def test_the_scan_is_the_greedy_step_by_step():
+    for alphabet, max_len in (("123", 7), ("1234", 6)):
+        for xs in all_sequences(alphabet, max_len):
+            for k in range(len(xs) + 1):
+                assert_pops_delete_hill_feet(k, xs)
+    # seeded inputs up to n = 2,000: random digits, few values, sorted
+    # both ways and runs of equal elements, as strings and tuples in turn
+    rng = random.Random(31)
+    for n in (100, 700, 2000):
+        for values in (
+            [rng.randrange(10) for _ in range(n)],
+            [rng.randrange(3) for _ in range(n)],
+            sorted(rng.randrange(50) for _ in range(n)),
+            sorted((rng.randrange(50) for _ in range(n)), reverse=True),
+            [v for v in rng.choices(range(5), k=n // 10) for _ in range(10)],
+        ):
+            text = "".join(chr(0x30 + v) for v in values)
+            for k, xs in zip((n // 3, rng.randint(1, n), n), (text, tuple(values), text)):
+                assert_pops_delete_hill_feet(k, xs)
 
 
 @pytest.fixture
