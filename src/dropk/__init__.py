@@ -29,7 +29,7 @@ from .greedy_condition import (
     foot_witness,
     verify_greedy_condition,
 )
-from .linear import ScanEvent, count_steps, gsolve, scan_events, solve_linear
+from .linear import ScanEvent, count_steps, scan_events, solve_linear
 from .oracle import solve_naive, solve_naive_all_k
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "drops",
     "enumerate_plans",
     "foot_witness",
-    "gsolve",
     "gstep",
     "hill_foot",
     "lex_le",

@@ -1,15 +1,16 @@
 """Sequences over a totally ordered alphabet, and one-step deletions.
 
-Everything in this package works on any sliceable sequence whose slices
-concatenate (str, tuple, list).  Elements must be totally ordered by
-``<``, and ``==`` must hold exactly when neither element is smaller.
-Under that contract Python's own sequence comparison, which skips equal
-heads by ``==`` and lets the first ``<`` decide, is the lexicographic
-order whose maximum the engines find: :func:`lex_le` and :func:`max_lex`
-are that comparison, the sweeps compare results with ``==`` and
-:func:`sequences` sorts the alphabet.  The engines use only ``<`` on
-elements.  Strings are the common case: characters compare by Unicode
-scalar value, so digit strings order the way equal-width numbers do.
+Everything in this package works on a str, a tuple or a list, or a
+subclass of one; the linear engine refuses any other sequence with
+``TypeError``.  Elements must be totally ordered by ``<``, and ``==``
+must hold exactly when neither element is smaller.  Under that contract
+Python's own sequence comparison, which skips equal heads by ``==`` and
+lets the first ``<`` decide, is the lexicographic order whose maximum
+the engines find: :func:`lex_le` and :func:`max_lex` are that
+comparison, the sweeps compare results with ``==`` and :func:`sequences`
+sorts the alphabet.  The engines use only ``<`` on elements.  Strings
+are the common case: characters compare by Unicode scalar value, so
+digit strings order the way equal-width numbers do.
 """
 
 from __future__ import annotations

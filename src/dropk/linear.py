@@ -91,7 +91,9 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
     elements consumed and the deletions left.  Deletions are left only
     when the input ran out, and they fall on the stack top; otherwise
     ``xs[consumed:]`` is kept.  While the loop runs, ``top`` holds the
-    stack's top and the list what lies below it.
+    stack's top and the list what lies below it.  A sequence that is not
+    a str, a tuple or a list, or a subclass of one, raises ``TypeError``:
+    bytes, say, would be scanned as ints and answered with a tuple.
     """
     if isinstance(xs, str):
         stack = [_TOP_CODE]
@@ -100,6 +102,8 @@ def _scan(k: int, xs: S) -> tuple[list, Any, int, int]:
         except UnicodeEncodeError:
             # the native-order codec writes a 4-byte byte-order mark first
             xs = memoryview(xs.encode("utf-32", "surrogatepass"))[4:].cast("I")
+    elif not isinstance(xs, (tuple, list)):
+        raise TypeError("sequence must be a str, tuple or list")
     else:
         stack = [_TOP]
     if not k:
@@ -156,20 +160,6 @@ def solve_linear(k: int, xs: S) -> S:
     if type(scanned) is bytes:  # a Latin-1 string
         return bytes(stack).decode("latin-1") + xs[consumed:]
     return "".join(map(chr, stack)) + xs[consumed:]
-
-
-def gsolve(k: int, acc: S, rest: S) -> S:
-    """Solve ``reverse(acc) + rest`` with ``k`` deletions: the optimum of
-    that whole sequence, for any prefix ``acc``.
-
-    ``acc`` is the traversed prefix stored newest-first, and ``acc`` and
-    ``rest`` must be the same type of sequence.  This is the scan of
-    :func:`solve_linear` run on ``acc[::-1] + rest``, so an ``acc`` in any
-    order gives the right answer.
-    """
-    if type(acc) is not type(rest):
-        raise ValueError("acc and rest must be the same type of sequence")
-    return solve_linear(k, acc[::-1] + rest)
 
 
 def count_steps(k: int, xs: S) -> int:

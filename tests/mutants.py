@@ -286,10 +286,10 @@ MUTANTS = [
            "top = stack.pop()\n            k -= 2", "each pop spends two deletions"),
     Mutant("src/dropk/linear.py", 'xs.encode("utf-32", "surrogatepass")', 'xs.encode("utf-32")',
            "strict UTF-32 codec"),
-    Mutant("src/dropk/linear.py", "    if type(acc) is not type(rest):", "    if False:",
-           "gsolve takes mixed kinds"),
-    Mutant("src/dropk/linear.py", "solve_linear(k, acc[::-1] + rest)", "solve_linear(k, acc + rest)",
-           "gsolve keeps acc newest-first"),
+    Mutant("src/dropk/linear.py",
+           "    elif not isinstance(xs, (tuple, list)):\n"
+           '        raise TypeError("sequence must be a str, tuple or list")\n', "",
+           "the scan reads bytes as ints and answers with a tuple"),
     Mutant("src/dropk/core.py", "tokens = sorted(set(alphabet))",
            "tokens = sorted(set(alphabet), reverse=True)", "sequences out of order"),
     Mutant("src/dropk/greedy.py", "    for _ in range(k):", "    for _ in range(min(k, 1)):",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dropk
 from conftest import MIXED_CHARS, all_sequences
 from dropk.core import drops, lex_le, max_lex, sequences
 from dropk.greedy import solve_greedy
@@ -183,3 +184,11 @@ class TestDeletionCountGuard:
         for xs in ("", "abc", (3, 1, 2), [3, 1, 2]):
             with pytest.raises(ValueError, match="must be >= 0"):
                 entry(-1, xs)
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its object is gone breaks only
+    # `from dropk import *`, which no other test runs
+    namespace = {}
+    exec("from dropk import *", namespace)
+    assert set(dropk.__all__) <= namespace.keys()

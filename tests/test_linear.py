@@ -9,20 +9,13 @@ from hypothesis import strategies as st
 
 import dropk.linear
 from conftest import MIXED_CHARS, all_sequences, brute_naive
-from dropk.greedy import gstep, hill_foot, solve_greedy
-from dropk.linear import _scan, count_steps, gsolve, scan_events, solve_linear
-from dropk.oracle import solve_naive, solve_naive_all_k
+from dropk.greedy import hill_foot, solve_greedy
+from dropk.linear import _scan, count_steps, scan_events, solve_linear
+from dropk.oracle import solve_naive_all_k
 
 # the benchmark's sliding-window maximum, which calls no dropk engine
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import reference  # noqa: E402
-
-
-def descending_sequences(alphabet, max_len):
-    for n in range(max_len + 1):
-        for raw in product(sorted(alphabet), repeat=n):
-            if all(raw[j] >= raw[j + 1] for j in range(n - 1)):
-                yield "".join(raw)
 
 
 def assert_kept_prefix_descends(k, xs):
@@ -57,57 +50,6 @@ def assert_scan_matches_the_replay(k, xs):
     kept = stack[: len(stack) - event.k]
     kept = "".join(kept) if isinstance(xs, str) else type(xs)(kept)
     assert solve_linear(k, xs) == kept + xs[event.index :], (xs, k)
-
-
-class TestGsolve:
-    def test_zero_budget_returns_everything(self):
-        assert gsolve(0, "ba", "cd") == "abcd"
-
-    def test_exhausted_input_drops_stack_top(self):
-        assert gsolve(2, "789", "") == "9"
-
-    def test_fresh_scan(self):
-        assert gsolve(1, "", "19") == "9"
-
-    def test_budget_guard(self):
-        with pytest.raises(ValueError, match="cannot drop more"):
-            gsolve(5, "ba", "cd")
-        with pytest.raises(ValueError, match=">= 0"):
-            gsolve(-1, "", "abc")
-
-    def test_mixed_sequence_kinds_rejected(self):
-        with pytest.raises(ValueError, match="same type"):
-            gsolve(1, "ab", ("c",))
-        with pytest.raises(ValueError, match="same type"):
-            gsolve(0, ["b"], ("c",))
-        assert gsolve(1, ("a", "b"), ("c",)) == ("b", "c")
-
-    def test_prefix_and_input_of_different_widths(self):
-        # an astral prefix before ASCII input, and a Latin-1 prefix before
-        # astral input: the result may hold characters of either width
-        cases = [
-            ("\U0001f600\U0001f601", "1928"),
-            ("\U0001f601", "\u00ff1"),
-            ("\u00e9\u00ff", "\U00010000a\U0001f600"),
-            ("ab\u00ff", "\U00010000"),
-            ("\ud800\udfff", "z\udcff"),
-        ]
-        for acc, rest in cases:
-            whole = acc[::-1] + rest
-            for k in range(len(whole) + 1):
-                got = gsolve(k, acc, rest)
-                assert got == solve_greedy(k, whole) == solve_linear(k, whole)
-                assert_kept_prefix_descends(k, whole)
-
-    def test_generalizes_full_solve(self):
-        # scanning from a saved prefix equals solving the whole sequence
-        for ds in descending_sequences("abc", 4):
-            for ys in all_sequences("abc", 3):
-                whole = ds + ys
-                for k in range(len(whole) + 1):
-                    expected = solve_naive(k, whole)
-                    assert gsolve(k, ds[::-1], ys) == expected
-                    assert_kept_prefix_descends(k, whole)
 
 
 class TestSolveLinear:
@@ -149,8 +91,27 @@ class TestSolveLinear:
         xs = [1, 9, 4]
         assert solve_linear(0, xs) is not xs
 
+    def test_other_sequences_refused(self):
+        # the scan would read bytes, a bytearray, a memoryview or a range
+        # as ints and answer with a tuple, where the other engines give
+        # back the input's own kind
+        for xs in (b"ab", bytearray(b"ab"), memoryview(b"ab"), range(2)):
+            for k in range(3):
+                for entry in (solve_linear, count_steps):
+                    with pytest.raises(TypeError, match="str, tuple or list"):
+                        entry(k, xs)
+
     def test_agrees_with_other_engines(self):
-        for xs in all_sequences("abc", 6):
+        # a descending head of one character width before a tail of
+        # another, lone surrogates included: the result may hold both
+        mixed_widths = [
+            "\U0001f601\U0001f6001928",
+            "\U0001f601\u00ff1",
+            "\u00ff\u00e9\U00010000a\U0001f600",
+            "\u00ffba\U00010000",
+            "\udfff\ud800z\udcff",
+        ]
+        for xs in [*all_sequences("abc", 6), *mixed_widths]:
             expected = solve_naive_all_k(xs)
             for k in range(len(xs) + 1):
                 got = solve_linear(k, xs)
@@ -177,38 +138,6 @@ def test_differential_across_sequence_kinds(text, kind, data):
     assert type(got) is kind
     assert got == solve_greedy(k, xs)
     assert count_steps(k, xs) == len(list(scan_events(k, xs)))
-
-
-
-@given(
-    st.text(alphabet=st.one_of(st.sampled_from(MIXED_CHARS), st.characters()), max_size=20),
-    st.text(alphabet=st.one_of(st.sampled_from(MIXED_CHARS), st.characters()), max_size=20),
-    st.sampled_from((str, tuple, list)),
-    st.data(),
-)
-@settings(max_examples=300, deadline=None)
-def test_gsolve_solves_reversed_prefix_then_rest(acc_text, rest_text, kind, data):
-    # acc in any order, not only the weakly nondecreasing one a scan saves
-    acc, rest = (acc_text, rest_text) if kind is str else (kind(acc_text), kind(rest_text))
-    whole = acc[::-1] + rest
-    k = data.draw(st.integers(0, len(whole)))
-    got = gsolve(k, acc, rest)
-    assert type(got) is kind
-    assert got == solve_greedy(k, whole)
-
-class TestSplittingProperty:
-    def test_split_point_behaviour(self):
-        # while the next element does not rise above the descending
-        # prefix, the split may advance past it; at a strict rise the
-        # prefix's last element is exactly what the greedy step deletes
-        for ds in descending_sequences("abc", 3):
-            for y in "abc":
-                for ys in all_sequences("abc", 3):
-                    whole = ds + y + ys
-                    if not ds or ds[-1] >= y:
-                        assert gstep(whole) == gstep((ds + y) + ys)
-                    else:
-                        assert gstep(whole) == ds[:-1] + y + ys
 
 
 class TestCountSteps:
@@ -279,20 +208,26 @@ class TestScanEvents:
                 assert "".join(kept) + xs[event.index :] == solve_linear(k, xs)
 
 
-def assert_pops_delete_hill_feet(k, xs):
-    # before every step the greedy's state is the stack followed by the
-    # unread input, and each POP deletes that state's hill foot; at
-    # FINISH the state is weakly descending (its foot is its last
-    # element, and so is every prefix's), so each deletion left cuts
-    # the last element, and what remains is the linear engine's answer.
-    # hill_foot stops at the first ascent, so whether the foot is the
-    # top of the stack shows in the stack and the next element alone
+def assert_steps_delete_hill_feet(k, xs):
+    # the paper's gsolve k acc rest = solve k (reverse acc ++ rest), with
+    # acc the stack newest first: before every step the greedy's state
+    # is the stack followed by the unread input.  Each POP deletes that
+    # state's hill foot, the stack top; each PUSH onto a nonempty stack
+    # leaves the foot at or past the pushed element, so no kept element
+    # is the foot.  At FINISH the state is weakly descending (its foot
+    # is its last element, and so is every prefix's), so each deletion
+    # left cuts the last element, and what remains is the linear
+    # engine's answer.  hill_foot stops at the first ascent, so where
+    # the foot lies against the stack shows in the stack and the next
+    # element alone
     stack = []
     for action, element, left, index, depth in scan_events(k, xs):
         if action == "POP":
             assert hill_foot(stack + [xs[index]]) == depth - 1, (xs, k)
             stack.pop()
         elif action == "PUSH":
+            if stack:
+                assert hill_foot(stack + [element]) == depth, (xs, k)
             stack.append(element)
     state = stack + list(xs[index:])
     if left:
@@ -304,7 +239,7 @@ def test_the_scan_is_the_greedy_step_by_step():
     for alphabet, max_len in (("123", 7), ("1234", 6)):
         for xs in all_sequences(alphabet, max_len):
             for k in range(len(xs) + 1):
-                assert_pops_delete_hill_feet(k, xs)
+                assert_steps_delete_hill_feet(k, xs)
     # seeded inputs up to n = 2,000: random digits, few values, sorted
     # both ways and runs of equal elements, as strings and tuples in turn
     rng = random.Random(31)
@@ -318,7 +253,7 @@ def test_the_scan_is_the_greedy_step_by_step():
         ):
             text = "".join(chr(0x30 + v) for v in values)
             for k, xs in zip((n // 3, rng.randint(1, n), n), (text, tuple(values), text)):
-                assert_pops_delete_hill_feet(k, xs)
+                assert_steps_delete_hill_feet(k, xs)
 
 
 @pytest.fixture
